@@ -7,8 +7,8 @@ uniqueness clause, and the structural facts behind it.
 """
 
 from .params import (
-    Cap, Params, ParameterError, SearchCapError, UNBOUNDED, cap_text, is_unbounded,
-    parse_cap, q_of,
+    Cap, InvariantError, Params, ParameterError, SearchCapError, UNBOUNDED, cap_text,
+    is_unbounded, parse_cap, q_of,
 )
 from .coeffs import CoeffPropertyReport, CoeffTable, check_coeff_properties, coeff, coeff_table
 from .multiset import (

@@ -63,10 +63,6 @@ def support(a: Multiset) -> int:
     return mask
 
 
-def is_empty(a: Multiset) -> bool:
-    return not any(a)
-
-
 def enumerate_k_multisets(p: Params) -> Iterator[Multiset]:
     """Yield every k-uniform multiset under p, ascending lexicographic, exactly once."""
     n, k, cap = p.n, p.k, p.m_eff

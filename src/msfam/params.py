@@ -20,6 +20,10 @@ class SearchCapError(RuntimeError):
     """Raised when a search exceeds its resource guard and no override was given."""
 
 
+class InvariantError(RuntimeError):
+    """Raised when a result breaks a mathematical invariant, which means a fault in the program."""
+
+
 class _UnboundedType:
     """Singleton marking an unlimited multiplicity cap."""
 

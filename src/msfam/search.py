@@ -12,9 +12,11 @@ every maximal family appears exactly once.
 Verification jobs ride along on a single enumeration pass: per leaf they see
 the family bitset together with its layer counts and decide qualification
 (empty total intersection of the valuable part) from precomputed element
-masks.  Isomorphism-class counts come from the orbit-counting lemma: for each
-cycle type the invariant families are enumerated over a collapsed pair system
-whose items are the orbits of subsets under the permutation.
+masks.  Isomorphism classes are S_n-orbits under relabelling of [n].  Their
+counts come from the orbit-counting lemma: for each cycle type the invariant
+families are enumerated over a collapsed pair system whose items are the
+orbits of subsets under the permutation.  Achievers are grouped into classes
+by orbit closure under the adjacent transpositions.
 
 Work splits deterministically across processes by partitioning the decision
 tree at a shallow prefix depth; all per-family collections are sorted before
@@ -35,13 +37,15 @@ from typing import Callable, Iterator, Sequence
 from .coeffs import coeff_table
 from .families import hm_size
 from .multiset import MultisetFamily, enumerate_k_multisets, count_k_multisets, support
-from .params import Cap, Params, ParameterError, SearchCapError, UNBOUNDED
+from .params import Cap, InvariantError, Params, ParameterError, SearchCapError, UNBOUNDED
 from .reporting import LemmaReport, TheoremReport
 from .subsets import (
     SetFamily, canonical_set_family, hm_shadow_layer_size, hm_shadow_valuable,
     is_intersecting_sf, is_maximal_intersecting_definitional, layer_bitsets,
-    pair_rule_holds, set_families_isomorphic, valuable_part,
+    pair_rule_holds, valuable_part,
 )
+# not called here; perfbench/tracer.py and selftest.py address it as msfam.search's attribute
+from .subsets import set_families_isomorphic  # noqa: F401
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP", "DEFAULT_ORACLE_VERTEX_CAP",
@@ -74,7 +78,7 @@ def _check_cap(n: int, cap_override: bool) -> None:
 # pair-implication systems
 # ---------------------------------------------------------------------------
 
-_Tables = namedtuple("_Tables", "n full comp sup sub reps layers star_layers elem_layers")
+_Tables = namedtuple("_Tables", "n full comp sup sub reps layers star_layers")
 
 
 @lru_cache(maxsize=None)
@@ -112,17 +116,9 @@ def _tables(n: int) -> _Tables:
         sum(1 << x for x in range(1, full) if x & 1 and x.bit_count() == l)
         for l in range(n + 1)
     )
-    elem_layers = tuple(
-        tuple(
-            sum(1 << x for x in range(1, full) if (x >> e) & 1 and x.bit_count() == l)
-            for l in range(n + 1)
-        )
-        for e in range(n)
-    )
     return _Tables(
         n=n, full=full, comp=tuple(comp), sup=tuple(sup), sub=tuple(sub),
         reps=tuple(x for _, x in reps), layers=layers, star_layers=star_layers,
-        elem_layers=elem_layers,
     )
 
 
@@ -305,7 +301,7 @@ def _split_prefixes(n: int, target: int) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# orbit systems for invariant-family counting
+# relabellings: orbit systems for invariant-family counting, orbit closure
 # ---------------------------------------------------------------------------
 
 def _permute_mask(x: int, perm: Sequence[int], n: int) -> int:
@@ -439,9 +435,46 @@ def count_iso_classes(n: int, cap_override: bool = False) -> int:
     _check_cap(n, cap_override)
     identity = _dfs_subsets(n, lambda bits: None)
     rest = _burnside_nonidentity(n, [lambda bits: True])[0]
-    total = identity + rest
-    assert total % factorial(n) == 0
-    return total // factorial(n)
+    return _orbit_count(n, identity + rest)
+
+
+def _orbit_count(n: int, burnside_total: int) -> int:
+    """Burnside's lemma: the fixed-point total over S_n divided by n!."""
+    classes, rest = divmod(burnside_total, factorial(n))
+    if rest:
+        raise InvariantError(f"orbit-counting total {burnside_total} is not a multiple of {n}!")
+    return classes
+
+
+@lru_cache(maxsize=None)
+def _transpositions(n: int) -> tuple[tuple[int, int], ...]:
+    """Each adjacent transposition (e e+1) as a delta swap (shift, mask) on family bitsets.
+
+    It sends every subset mask x that holds e but not e+1 to x + 2^e and back,
+    so bit x of a family bitset trades places with bit x + 2^e for x in mask.
+    """
+    return tuple(
+        (1 << e, sum(1 << x for x in range(1 << n) if (x >> e) & 3 == 1))
+        for e in range(n - 1)
+    )
+
+
+def _orbit(n: int, bits: int) -> set[int]:
+    """The S_n-orbit of a family bitset: breadth-first closure under the transpositions."""
+    moves = _transpositions(n)
+    seen = {bits}
+    frontier = [bits]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for shift, mask in moves:
+                t = (f ^ (f >> shift)) & mask
+                g = f ^ t ^ (t << shift)
+                if g not in seen:
+                    seen.add(g)
+                    nxt.append(g)
+        frontier = nxt
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +498,18 @@ def enumerate_maximal_families(n: int, up_to_iso: bool = False,
         for bits in collected:
             yield SetFamily(n=n, bits=bits)
         return
-    grouper = _ClassGrouper(n)
+    # every relabelling of a maximal family is maximal, hence enumerated once
+    claimed: set[int] = set()
     for bits in collected:
-        if grouper.add(bits):
-            yield SetFamily(n=n, bits=bits)
+        if bits in claimed:
+            claimed.remove(bits)
+            continue
+        orbit = _orbit(n, bits)
+        orbit.remove(bits)
+        claimed |= orbit
+        yield SetFamily(n=n, bits=bits)
+    if claimed:
+        raise InvariantError(f"{len(claimed)} relabelled maximal families were never enumerated")
 
 
 def naive_enumerate_maximal(n: int) -> list[SetFamily]:
@@ -507,46 +548,6 @@ def naive_enumerate_maximal(n: int) -> list[SetFamily]:
     rec(0, 0, 0)
     out.sort(key=lambda f: f.bits)
     return out
-
-
-class _ClassGrouper:
-    """Groups family bitsets into isomorphism classes via signature then witness search."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tables = _tables(n)
-        self.groups: dict[tuple, list[SetFamily]] = {}
-        self.sizes: dict[tuple, list[int]] = {}
-
-    def _signature(self, bits: int) -> tuple:
-        t = self.tables
-        layer_counts = tuple((bits & t.layers[l]).bit_count() for l in range(1, self.n))
-        profiles = sorted(
-            tuple((bits & t.elem_layers[e][l]).bit_count() for l in range(1, self.n))
-            for e in range(self.n)
-        )
-        return layer_counts, tuple(profiles)
-
-    def add(self, bits: int) -> bool:
-        """Record a family; True when it opens a new isomorphism class."""
-        fam = SetFamily(n=self.n, bits=bits)
-        sig = self._signature(bits)
-        reps = self.groups.setdefault(sig, [])
-        sizes = self.sizes.setdefault(sig, [])
-        for i, rep in enumerate(reps):
-            ok, _ = set_families_isomorphic(rep, fam)
-            if ok:
-                sizes[i] += 1
-                return False
-        reps.append(fam)
-        sizes.append(1)
-        return True
-
-    def classes(self) -> list[tuple[SetFamily, int]]:
-        out = []
-        for sig in self.groups:
-            out.extend(zip(self.groups[sig], self.sizes[sig]))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -752,14 +753,24 @@ def _run_pass(n: int, specs: Sequence[_JobSpec], workers: int) -> tuple[int, lis
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _achiever_classes(n: int, achiever_bits: Sequence[int]) -> list[tuple[SetFamily, int]]:
-    grouper = _ClassGrouper(n)
+def _achiever_classes(n: int, achiever_bits: Sequence[int]) -> list[tuple[SetFamily, int, tuple]]:
+    """Achievers as S_n-orbits: (least member, orbit size, canonical encoding), by encoding.
+
+    Achieving is invariant under relabelling, so the achievers must be a union of orbits.
+    """
+    unclaimed = set(achiever_bits)
+    classes = []
     for bits in sorted(achiever_bits):
-        grouper.add(bits)
-    classes = grouper.classes()
-    encoded = [(canonical_set_family(fam), fam, size) for fam, size in classes]
-    encoded.sort(key=lambda item: item[0])
-    return [(fam, size, enc) for enc, fam, size in encoded]
+        if bits not in unclaimed:
+            continue
+        orbit = _orbit(n, bits)
+        if not orbit <= unclaimed:
+            raise InvariantError(f"a relabelling of achiever {bits:#x} is not an achiever")
+        unclaimed -= orbit
+        fam = SetFamily(n=n, bits=bits)
+        classes.append((fam, len(orbit), canonical_set_family(fam)))
+    classes.sort(key=lambda item: item[2])
+    return classes
 
 
 def _finalize_theorem(spec: _JobSpec, accum: _JobAccum, families_total: int,
@@ -783,10 +794,9 @@ def _finalize_theorem(spec: _JobSpec, accum: _JobAccum, families_total: int,
                 "type": "uniqueness-failed",
                 "achiever_classes": len(classes),
             })
-        shadow_star = hm_shadow_valuable(p)
+        shadow_orbit = _orbit(n, hm_shadow_valuable(p).bits)
         for fam, size, enc in classes:
-            ok, _ = set_families_isomorphic(valuable_part(fam, p), shadow_star)
-            if not ok:
+            if valuable_part(fam, p).bits not in shadow_orbit:
                 violations.append({
                     "type": "achiever-not-shadow",
                     "family": [list(m) for m in enc],
@@ -831,12 +841,10 @@ def _finalize_lemmas(spec: _JobSpec, accum: _JobAccum, families_total: int,
             "shadow_layer_size": want,
             "family": [list(m) for m in _family_encoding(bits, n)],
         })
-    shadow_star = hm_shadow_valuable(p)
+    shadow_orbit = _orbit(n, hm_shadow_valuable(p).bits)
     candidates = sorted(accum.rigid_candidates)
     for bits in candidates:
-        fam = SetFamily(n=n, bits=bits)
-        ok, _ = set_families_isomorphic(valuable_part(fam, p), shadow_star)
-        if not ok:
+        if valuable_part(SetFamily(n=n, bits=bits), p).bits not in shadow_orbit:
             rigid.append({
                 "type": "valuable-part-not-isomorphic",
                 "family": [list(m) for m in _family_encoding(bits, n)],
@@ -904,19 +912,14 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
     families_total, accums = _run_pass(n, specs, workers)
 
     # isomorphism classes of qualifying families per distinct window, via orbit counting
-    window_keys = []
     qualifiers = []
     seen_windows = {}
     for spec in specs:
         wkey = (_job_constants(spec)["q"], _job_constants(spec)["k"])
         if wkey not in seen_windows:
-            seen_windows[wkey] = len(window_keys)
-            window_keys.append(wkey)
+            seen_windows[wkey] = len(qualifiers)
             qualifiers.append(_qualifier(n, *wkey))
     nonidentity = _burnside_nonidentity(n, qualifiers) if qualifiers else []
-    iso_by_window: dict[tuple[int, int], dict[int, int]] = {}
-    for wkey in window_keys:
-        iso_by_window[wkey] = {}
 
     runtime_ms = int((time.monotonic() - started) * 1000) if timing else None
 
@@ -924,13 +927,7 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
     lemma_bundles = []
     for spec, accum in zip(specs, accums):
         wkey = (_job_constants(spec)["q"], _job_constants(spec)["k"])
-        widx = seen_windows[wkey]
-        cache = iso_by_window[wkey]
-        if accum.qual not in cache:
-            total = accum.qual + nonidentity[widx]
-            assert total % factorial(n) == 0, "orbit count must divide evenly"
-            cache[accum.qual] = total // factorial(n)
-        iso_classes = cache[accum.qual]
+        iso_classes = _orbit_count(n, accum.qual + nonidentity[seen_windows[wkey]])
         if spec.kind == "theorem":
             theorem_reports.append(
                 _finalize_theorem(spec, accum, families_total, iso_classes, runtime_ms)

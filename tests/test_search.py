@@ -1,16 +1,24 @@
 """Enumeration and verification: generator soundness, oracles, theorem checks."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from math import factorial
+
 import pytest
 
 from msfam import (
     CHECK_LAYER_DOMINANCE, CHECK_REMOVED_LAYER, CHECK_VALUABLE_RIGIDITY, LEMMA_CHECKS,
-    MultisetFamily, Params, SearchCapError, SetFamily, UNBOUNDED, canonical_set_family,
-    count_iso_classes, enumerate_maximal_families, is_maximal_intersecting_definitional,
-    is_maximal_intersecting_sf, is_trivial, naive_enumerate_maximal, preimage_family,
-    raw_max_nontrivial, run_verification, uniqueness_condition, valuable_part,
+    InvariantError, MultisetFamily, Params, SearchCapError, SetFamily, UNBOUNDED,
+    canonical_set_family, count_iso_classes, enumerate_maximal_families,
+    is_maximal_intersecting_definitional, is_maximal_intersecting_sf, is_trivial,
+    naive_enumerate_maximal, preimage_family, raw_max_nontrivial, run_verification,
+    uniqueness_condition, valuable_part,
     verify_hm_theorem, verify_layer_dominance, verify_lemma_bundle, verify_removed_layer,
     verify_valuable_rigidity, verify_grid,
 )
+from msfam import search
 from msfam.reporting import to_canonical_json
 from msfam.subsets import layer_bitsets
 
@@ -58,7 +66,7 @@ def test_iso_class_counts():
         assert count_iso_classes(n) == expected
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_up_to_iso_matches_class_count(n):
     reps = list(enumerate_maximal_families(n, up_to_iso=True))
     assert len(reps) == ISO_CLASS_COUNTS[n]
@@ -71,6 +79,69 @@ def test_iso_classes_match_canonical_dedup():
     for n in (4, 5):
         encodings = {canonical_set_family(f) for f in enumerate_maximal_families(n)}
         assert len(encodings) == ISO_CLASS_COUNTS[n]
+
+
+def _achievers(n, k, m_key):
+    _, (accum,) = search._run_pass(n, [search._JobSpec("theorem", n, k, m_key)], 1)
+    return accum.achievers
+
+
+@pytest.mark.parametrize("n,k,m_key", [(5, 4, None), (6, 4, 2)])
+def test_orbit_classes_match_canonical_grouping(n, k, m_key):
+    achievers = _achievers(n, k, m_key)
+    classes = search._achiever_classes(n, achievers)
+    by_canonical = Counter(canonical_set_family(SetFamily(n=n, bits=b)) for b in achievers)
+    assert {enc: size for _, size, enc in classes} == by_canonical
+    assert all(factorial(n) % size == 0 for _, size, _ in classes)
+    assert sum(size for _, size, _ in classes) == len(achievers)
+    # the representative is the least member of its class
+    for fam, _, _ in classes:
+        assert fam.bits == min(search._orbit(n, fam.bits))
+
+
+def test_achiever_classes_reject_a_broken_orbit():
+    achievers = _achievers(5, 4, None)
+    rep = max(search._achiever_classes(5, achievers), key=lambda c: c[1])[0]
+    victim = max(search._orbit(5, rep.bits))
+    assert victim != rep.bits
+    with pytest.raises(InvariantError):
+        search._achiever_classes(5, [b for b in achievers if b != victim])
+
+
+def _off_by_one_burnside(monkeypatch):
+    original = search._burnside_nonidentity
+    monkeypatch.setattr(search, "_burnside_nonidentity",
+                        lambda n, qualifiers: [t + 1 for t in original(n, qualifiers)])
+
+
+def test_burnside_divisibility_raises(monkeypatch):
+    _off_by_one_burnside(monkeypatch)
+    with pytest.raises(InvariantError):
+        count_iso_classes(4)
+    with pytest.raises(InvariantError):
+        run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)])
+
+
+def test_burnside_divisibility_raises_under_optimize():
+    script = """
+import sys
+from msfam import InvariantError, Params, UNBOUNDED, count_iso_classes, run_verification, search
+original = search._burnside_nonidentity
+search._burnside_nonidentity = lambda n, qs: [t + 1 for t in original(n, qs)]
+caught = 0
+for call in (lambda: count_iso_classes(4),
+             lambda: run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)])):
+    try:
+        call()
+    except InvariantError:
+        caught += 1
+print(sys.flags.optimize, caught)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["1", "2"]
 
 
 def test_enumeration_cap():
