@@ -9,25 +9,31 @@ two implications after every assignment: a member forces all its supersets in,
 a non-member forces all its subsets out.  Every leaf is a maximal family and
 every maximal family appears exactly once.
 
-Verification jobs ride along on a single enumeration pass: per leaf they see
-the family bitset together with its layer counts and decide qualification
-(empty total intersection of the valuable part) from precomputed element
-masks.  Isomorphism classes are S_n-orbits under relabelling of [n].  Their
-counts come from the orbit-counting lemma: for each cycle type the invariant
-families are enumerated over a collapsed pair system whose items are the
-orbits of subsets under the permutation.  Achievers are grouped into classes
-by orbit closure under the adjacent transpositions.
+Verification jobs ride along on a single enumeration pass.  The bound and the
+lemmas see a family only through its layer counts, whether its valuable part
+qualifies for a job's window [q, k] (non-empty with empty total
+intersection), and how many star members of size n-k it holds.  Each leaf
+therefore adds that key to a histogram, and keeps the family bitset only
+under a key that some job marks as interesting (an achiever, a violation or
+a rigidity candidate), which is decided the first time the key is seen.  The
+jobs then run once per distinct key: n=7 has a few hundred keys among its
+1.42M families.  Isomorphism classes are S_n-orbits under relabelling of
+[n].  Their counts come from the orbit-counting lemma: for each cycle type
+the invariant families are enumerated over a collapsed pair system whose
+items are the orbits of subsets under the permutation.  Achievers are
+grouped into classes by orbit closure under the adjacent transpositions.
 
 Work splits deterministically across processes by partitioning the decision
 tree at a shallow prefix depth; all per-family collections are sorted before
-reporting, so report bytes do not depend on the worker count.
+reporting, and violation lists are cut to their first entries only after that
+sort, so report bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from collections import namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -37,7 +43,7 @@ from typing import Callable, Iterator, Sequence
 from .coeffs import coeff_table
 from .families import hm_size
 from .multiset import MultisetFamily, enumerate_k_multisets, count_k_multisets, support
-from .params import Cap, InvariantError, Params, ParameterError, SearchCapError, UNBOUNDED
+from .params import Cap, InvariantError, Params, ParameterError, SearchCapError
 from .reporting import LemmaReport, TheoremReport
 from .subsets import (
     SetFamily, canonical_set_family, hm_shadow_layer_size, hm_shadow_valuable,
@@ -78,7 +84,7 @@ def _check_cap(n: int, cap_override: bool) -> None:
 # pair-implication systems
 # ---------------------------------------------------------------------------
 
-_Tables = namedtuple("_Tables", "n full comp sup sub reps layers star_layers")
+_Tables = namedtuple("_Tables", "n full comp sup sub bit reps layers star_layers")
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +124,8 @@ def _tables(n: int) -> _Tables:
     )
     return _Tables(
         n=n, full=full, comp=tuple(comp), sup=tuple(sup), sub=tuple(sub),
-        reps=tuple(x for _, x in reps), layers=layers, star_layers=star_layers,
+        bit=tuple(1 << x for x in range(full + 1)), reps=tuple(x for _, x in reps),
+        layers=layers, star_layers=star_layers,
     )
 
 
@@ -136,40 +143,50 @@ def _absent_valuable(n: int, q: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _window_mask(n: int, q: int, k: int) -> int:
-    layers = layer_bitsets(n)
-    mask = 0
-    for l in range(q, min(k, n) + 1):
-        mask |= layers[l]
-    return mask
+def _window_flags(n: int, windows: Sequence[tuple[int, int]]) -> Callable[[int], tuple[bool, ...]]:
+    """Per window (q, k), whether a family's valuable part qualifies: non-empty
+    with empty total intersection.  Both hold exactly when every element is
+    avoided by some member with size in [q, k].
 
-
-def _dfs(size, comp, sup, sub, bits_of, reps, on_leaf, prefix=()) -> int:
-    """Enumerate all completions of the pair system; returns the leaf count.
-
-    comp, sup, sub, bits_of are indexable by item id; reps lists one item per
-    complementary pair in decision order.  prefix is replayed first and an
-    inconsistent prefix contributes nothing.
+    Every window contains the common part [max q, min k], so when that part
+    qualifies all of them do; this covers nearly every family, so it is
+    tested first.
     """
-    floor = 2 * len(reps) + 500
-    if sys.getrecursionlimit() < floor:
-        sys.setrecursionlimit(floor)
+    absents = [_absent_valuable(n, q, k) for q, k in windows]
+    q0 = max((q for q, _ in windows), default=1)
+    k0 = min((k for _, k in windows), default=0)
+    common = _absent_valuable(n, q0, k0) if q0 <= k0 else ()
+    everywhere = (True,) * len(windows)
+
+    def flags(bits: int) -> tuple[bool, ...]:
+        band = bits.__and__
+        if common and all(map(band, common)):
+            return everywhere
+        return tuple([all(map(band, absent)) for absent in absents])
+
+    return flags
+
+
+def _propagator(size, comp, sup, sub, bits_of):
+    """Decisions on one pair system, each followed by its two implications.
+
+    Returns (st, trail, assign, undo).  st[x] is 0 while item x is undecided,
+    1 once it is a member and 2 once it is not; trail lists the decided items
+    in order.  assign(x, v, bits) decides x as v, propagates, and returns the
+    family bitset bits with the new members added, or -1 on a conflict.
+    undo(mark) takes back every decision after the first mark items of trail.
+    """
     st = bytearray(size)
     trail: list[int] = []
-    bits_box = [0]
 
-    def assign(x0: int, v0: int) -> bool:
+    def assign(x0: int, v0: int, bits: int) -> int:
         stack = [(x0, v0)]
-        bits = bits_box[0]
-        ok = True
         while stack:
             x, v = stack.pop()
             s = st[x]
             if s:
                 if s != v:
-                    ok = False
-                    break
+                    return -1
                 continue
             c = comp[x]
             st[x] = v
@@ -191,90 +208,65 @@ def _dfs(size, comp, sup, sub, bits_of, reps, on_leaf, prefix=()) -> int:
                 for y in sup[c]:
                     if st[y] != 1:
                         stack.append((y, 1))
-        bits_box[0] = bits
-        return ok
+        return bits
 
+    def undo(mark: int) -> None:
+        for y in trail[mark:]:
+            st[y] = 0
+            st[comp[y]] = 0
+        del trail[mark:]
+
+    return st, trail, assign, undo
+
+
+def _dfs(size, comp, sup, sub, bits_of, reps, on_leaf, prefix=()) -> int:
+    """Enumerate all completions of the pair system; returns the leaf count.
+
+    comp, sup, sub, bits_of are indexable by item id; reps lists one item per
+    complementary pair in decision order.  prefix is replayed first and an
+    inconsistent prefix contributes nothing.
+    """
+    floor = 2 * len(reps) + 500
+    if sys.getrecursionlimit() < floor:
+        sys.setrecursionlimit(floor)
+    st, trail, assign, undo = _propagator(size, comp, sup, sub, bits_of)
+    bits = 0
     for x, v in prefix:
-        if not assign(x, v):
+        bits = assign(x, v, bits)
+        if bits < 0:
             return 0
 
     leaves = 0
     nreps = len(reps)
 
-    def rec(idx: int) -> None:
+    def rec(idx: int, bits: int) -> None:
         nonlocal leaves
         while idx < nreps and st[reps[idx]]:
             idx += 1
         if idx == nreps:
             leaves += 1
-            on_leaf(bits_box[0])
+            on_leaf(bits)
             return
         x = reps[idx]
         for v in (1, 2):
             mark = len(trail)
-            saved = bits_box[0]
-            if assign(x, v):
-                rec(idx + 1)
-            for i in range(len(trail) - 1, mark - 1, -1):
-                y = trail[i]
-                st[y] = 0
-                st[comp[y]] = 0
-            del trail[mark:]
-            bits_box[0] = saved
+            child = assign(x, v, bits)
+            if child >= 0:
+                rec(idx + 1, child)
+            undo(mark)
 
-    rec(0)
+    rec(0, bits)
     return leaves
 
 
 def _dfs_subsets(n: int, on_leaf, prefix=()) -> int:
     t = _tables(n)
-    bits_of = tuple(1 << x for x in range(t.full + 1))
-    return _dfs(t.full + 1, t.comp, t.sup, t.sub, bits_of, t.reps, on_leaf, prefix)
-
-
-def _probe_prefix(n: int, prefix) -> tuple[int | None, bool]:
-    """Replay a prefix; return (next undecided pair item or None, consistent?)."""
-    t = _tables(n)
-    st = bytearray(t.full + 1)
-
-    def assign(x0, v0):
-        stack = [(x0, v0)]
-        while stack:
-            x, v = stack.pop()
-            s = st[x]
-            if s:
-                if s != v:
-                    return False
-                continue
-            st[x] = v
-            st[t.comp[x]] = 3 - v
-            if v == 1:
-                for y in t.sup[x]:
-                    if st[y] != 1:
-                        stack.append((y, 1))
-                for y in t.sub[t.comp[x]]:
-                    if st[y] != 2:
-                        stack.append((y, 2))
-            else:
-                for y in t.sub[x]:
-                    if st[y] != 2:
-                        stack.append((y, 2))
-                for y in t.sup[t.comp[x]]:
-                    if st[y] != 1:
-                        stack.append((y, 1))
-        return True
-
-    for x, v in prefix:
-        if not assign(x, v):
-            return None, False
-    for x in t.reps:
-        if not st[x]:
-            return x, True
-    return None, True
+    return _dfs(t.full + 1, t.comp, t.sup, t.sub, t.bit, t.reps, on_leaf, prefix)
 
 
 def _split_prefixes(n: int, target: int) -> list[tuple]:
     """Partition the decision tree into at least `target` consistent prefixes."""
+    t = _tables(n)
     prefixes: list[tuple] = [()]
     for _ in range(4 * max(1, target).bit_length()):
         if len(prefixes) >= target:
@@ -282,18 +274,19 @@ def _split_prefixes(n: int, target: int) -> list[tuple]:
         nxt: list[tuple] = []
         expanded = False
         for pre in prefixes:
-            x, ok = _probe_prefix(n, pre)
-            if not ok:
-                continue
+            st, trail, assign, undo = _propagator(t.full + 1, t.comp, t.sup, t.sub, t.bit)
+            for x, v in pre:  # consistent: only consistent children are kept below
+                assign(x, v, 0)
+            x = next((r for r in t.reps if not st[r]), None)
             if x is None:
                 nxt.append(pre)
                 continue
             expanded = True
+            mark = len(trail)
             for v in (1, 2):
-                child = pre + ((x, v),)
-                _, child_ok = _probe_prefix(n, child)
-                if child_ok:
-                    nxt.append(child)
+                if assign(x, v, 0) >= 0:
+                    nxt.append(pre + ((x, v),))
+                undo(mark)
         prefixes = nxt
         if not expanded:
             break
@@ -391,25 +384,11 @@ def _orbit_system(n: int, perm: Sequence[int]):
     return count, tuple(comp), tuple(sup), tuple(sub), tuple(bits_of), tuple(reps)
 
 
-def _qualifier(n: int, q: int, k: int) -> Callable[[int], bool]:
-    """Non-trivial valuable part: a non-empty window with empty total intersection."""
-    window = _window_mask(n, q, k)
-    absent = _absent_valuable(n, q, k)
-
-    def qualifies(bits: int) -> bool:
-        if not bits & window:
-            return False
-        for am in absent:
-            if not bits & am:
-                return False
-        return True
-
-    return qualifies
-
-
-def _burnside_nonidentity(n: int, qualifiers: Sequence[Callable[[int], bool]]) -> list[int]:
-    """Sum over non-identity cycle types of class_size * invariant-family count."""
-    totals = [0] * len(qualifiers)
+def _burnside_nonidentity(n: int, windows: Sequence[tuple[int, int]]) -> list[int]:
+    """Sum over non-identity cycle types of class_size * invariant-family count:
+    first over all invariant families, then over those qualifying for each window."""
+    flags = _window_flags(n, windows)
+    totals = [0] * (1 + len(windows))
     for perm, class_size in _cycle_type_reps(n):
         if all(perm[i] == i for i in range(n)):
             continue
@@ -417,16 +396,16 @@ def _burnside_nonidentity(n: int, qualifiers: Sequence[Callable[[int], bool]]) -
         if system is None:
             continue
         size, comp, sup, sub, bits_of, reps = system
-        counts = [0] * len(qualifiers)
+        tally: Counter = Counter()
 
         def on_leaf(bits: int) -> None:
-            for i, fn in enumerate(qualifiers):
-                if fn(bits):
-                    counts[i] += 1
+            tally[flags(bits)] += 1
 
         _dfs(size, comp, sup, sub, bits_of, reps, on_leaf)
-        for i, c in enumerate(counts):
-            totals[i] += class_size * c
+        for qualified, count in tally.items():
+            for i, ok in enumerate((True, *qualified)):
+                if ok:
+                    totals[i] += class_size * count
     return totals
 
 
@@ -434,8 +413,7 @@ def count_iso_classes(n: int, cap_override: bool = False) -> int:
     """Number of isomorphism classes of maximal intersecting families on [n]."""
     _check_cap(n, cap_override)
     identity = _dfs_subsets(n, lambda bits: None)
-    rest = _burnside_nonidentity(n, [lambda bits: True])[0]
-    return _orbit_count(n, identity + rest)
+    return _orbit_count(n, identity + _burnside_nonidentity(n, ())[0])
 
 
 def _orbit_count(n: int, burnside_total: int) -> int:
@@ -562,196 +540,143 @@ def uniqueness_condition(p: Params) -> bool:
     return p.n == p.k + p.q and p.k % m_min != 0
 
 
-def _family_encoding(bits: int, n: int) -> tuple[tuple[int, ...], ...]:
-    return SetFamily(n=n, bits=bits).member_sets()
+THEOREM, LEMMAS = "theorem", "lemmas"
+ACHIEVER, RIGIDITY_CANDIDATE = "achiever", "rigidity-candidate"
 
-
-@dataclass(frozen=True)
-class _JobSpec:
-    """Picklable description of one verification job."""
-
-    kind: str  # "theorem" or "lemmas"
-    n: int
-    k: int
-    m_key: int | None  # None encodes the unbounded cap
-
-    def params(self) -> Params:
-        return Params(self.n, self.k, UNBOUNDED if self.m_key is None else self.m_key)
+_JobConstants = namedtuple("_JobConstants", "coeffs bound v_sizes star_cap")
 
 
 @lru_cache(maxsize=None)
-def _job_constants(spec: _JobSpec) -> dict:
-    p = spec.params()
-    n, k, q = p.n, p.k, p.q
-    table = coeff_table(k, p.m)
-    consts = {
-        "q": q,
-        "k": k,
-        "w": p.w,
-        "coeffs": table.values,
-        "window": (q, k),
-        "bound": hm_size(p),
-        "v_sizes": tuple(hm_shadow_layer_size(p, l) for l in range(n + 1)),
-    }
-    t = _tables(n)
-    consts["star_removed_mask"] = t.star_layers[n - k]
-    consts["star_removed_cap"] = comb(n - 1, n - k - 1)
-    return consts
+def _job_constants(p: Params) -> _JobConstants:
+    return _JobConstants(
+        coeffs=coeff_table(p.k, p.m).values,
+        bound=hm_size(p),
+        v_sizes=tuple(hm_shadow_layer_size(p, l) for l in range(p.n + 1)),
+        star_cap=comb(p.n - 1, p.n - p.k - 1),
+    )
 
 
-class _JobAccum:
-    """Per-worker accumulation for one job; merged across workers by summing and concatenating."""
-
-    def __init__(self, spec: _JobSpec):
-        self.spec = spec
-        self.qual = 0
-        self.achievers: list[int] = []
-        self.bound_violations: list[tuple[int, int]] = []
-        self.bound_violation_count = 0
-        self.removed_violations: list[int] = []
-        self.removed_violation_count = 0
-        self.dominance_violations: list[tuple[int, int, int]] = []
-        self.dominance_violation_count = 0
-        self.rigid_candidates: list[int] = []
-        self.rigid_layer_violations: list[tuple[int, int, int, int]] = []
-        self.rigid_violation_count = 0
-
-    def partial(self) -> dict:
-        return self.__dict__.copy()
-
-    def merge(self, other: dict) -> None:
-        self.qual += other["qual"]
-        self.achievers.extend(other["achievers"])
-        self.bound_violations.extend(other["bound_violations"])
-        self.bound_violation_count += other["bound_violation_count"]
-        self.removed_violations.extend(other["removed_violations"])
-        self.removed_violation_count += other["removed_violation_count"]
-        self.dominance_violations.extend(other["dominance_violations"])
-        self.dominance_violation_count += other["dominance_violation_count"]
-        self.rigid_candidates.extend(other["rigid_candidates"])
-        self.rigid_layer_violations.extend(other["rigid_layer_violations"])
-        self.rigid_violation_count += other["rigid_violation_count"]
+def _key_layout(jobs: Sequence[tuple[str, Params]]) -> tuple[tuple, tuple]:
+    """The windows (q, k) and the removed layers n-k that a pass's keys record, in job order."""
+    windows = tuple(dict.fromkeys((p.q, p.k) for _, p in jobs))
+    removed = tuple(dict.fromkeys(p.n - p.k for kind, p in jobs if kind == LEMMAS))
+    return windows, removed
 
 
-def _compile_leaf(n: int, specs: Sequence[_JobSpec], accums: Sequence[_JobAccum]):
-    """Build the single per-leaf closure shared by all jobs of one pass.
+def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple] | None:
+    """What a family with this key means to one job.
 
-    Per-job constants are unpacked into flat tuples; the closure runs a few
-    million times, so it avoids dictionary lookups and attribute access.
+    None when the family does not qualify for the job's window; otherwise
+    its findings as (name, *details), empty when it is neither an achiever,
+    a violation nor a rigidity candidate.  The key is (layer counts 0..n,
+    window flags, star counts at the removed layers) as laid out by layout.
     """
-    t = _tables(n)
-    lmasks = tuple(t.layers[l] for l in range(1, n))  # counts[l-1] is layer l
-
-    windows: list[tuple[int, tuple[int, ...]]] = []
-    window_index: dict[tuple[int, int], int] = {}
-    theorem_recs = []
-    lemma_recs = []
-    for spec, accum in zip(specs, accums):
-        consts = _job_constants(spec)
-        wkey = consts["window"]
-        if wkey not in window_index:
-            window_index[wkey] = len(windows)
-            windows.append((_window_mask(n, *wkey), _absent_valuable(n, *wkey)))
-        wi = window_index[wkey]
-        if spec.kind == "theorem":
-            theorem_recs.append((wi, consts["q"], consts["k"], consts["coeffs"],
-                                 consts["bound"], accum))
+    kind, p = job
+    windows, removed = layout
+    counts, flags, stars = key
+    if not flags[windows.index((p.q, p.k))]:
+        return None
+    c = _job_constants(p)
+    if kind == THEOREM:
+        size = sum(c.coeffs[l] * counts[l] for l in range(p.q, p.k + 1))
+        if size == c.bound:
+            return [(ACHIEVER,)]
+        return [("bound-exceeded", size)] if size > c.bound else []
+    v = c.v_sizes
+    found = []
+    if stars[removed.index(p.n - p.k)] >= c.star_cap:
+        found.append(("removed-layer-empty",))
+    found += [("layer-dominance-failed", l, counts[l])
+              for l in range(2, p.w + 1) if counts[l] > v[l]]
+    if v[p.q] and counts[p.q] == v[p.q]:
+        bad = [l for l in range(p.q, p.k + 1) if counts[l] != v[l]]
+        if bad:
+            found.append(("valuable-layer-mismatch", bad[0], counts[bad[0]], v[bad[0]]))
         else:
-            lemma_recs.append((wi, consts["q"], consts["k"], consts["w"],
-                               consts["v_sizes"], consts["star_removed_mask"],
-                               consts["star_removed_cap"], accum))
+            found.append((RIGIDITY_CANDIDATE,))
+    return found
+
+
+def _histogram_leaf(n: int, jobs: Sequence[tuple[str, Params]], hist: Counter, kept: dict):
+    """The leaf callback of a pass: count each family under its key in hist,
+    and append its bits to kept[key] when some job finds the key interesting."""
+    t = _tables(n)
+    layout = _key_layout(jobs)
+    windows, removed = layout
+    flags = _window_flags(n, windows)
+    layer_masks = t.layers
+    star_masks = [t.star_layers[l] for l in removed]
 
     def on_leaf(bits: int) -> None:
-        counts = [(bits & lm).bit_count() for lm in lmasks]
-        flags = []
-        for wmask, absent in windows:
-            ok = (bits & wmask) != 0
-            if ok:
-                for am in absent:
-                    if not bits & am:
-                        ok = False
-                        break
-            flags.append(ok)
-        for wi, q, k, coeffs, bound, acc in theorem_recs:
-            if not flags[wi]:
-                continue
-            acc.qual += 1
-            size = 0
-            for l in range(q, k + 1):
-                c = coeffs[l]
-                if c:
-                    size += c * counts[l - 1]
-            if size == bound:
-                acc.achievers.append(bits)
-            elif size > bound:
-                acc.bound_violation_count += 1
-                if len(acc.bound_violations) < _VIOLATION_CAP:
-                    acc.bound_violations.append((bits, size))
-        for wi, q, k, w, v_sizes, star_mask, star_cap, acc in lemma_recs:
-            if not flags[wi]:
-                continue
-            acc.qual += 1
-            if (bits & star_mask).bit_count() >= star_cap:
-                acc.removed_violation_count += 1
-                if len(acc.removed_violations) < _VIOLATION_CAP:
-                    acc.removed_violations.append(bits)
-            for l in range(2, w + 1):
-                if counts[l - 1] > v_sizes[l]:
-                    acc.dominance_violation_count += 1
-                    if len(acc.dominance_violations) < _VIOLATION_CAP:
-                        acc.dominance_violations.append((bits, l, counts[l - 1]))
-            vq = v_sizes[q]
-            if vq > 0 and counts[q - 1] == vq:
-                mismatch = 0
-                for l in range(q, k + 1):
-                    if counts[l - 1] != v_sizes[l]:
-                        mismatch = l
-                        break
-                if mismatch == 0:
-                    acc.rigid_candidates.append(bits)
-                else:
-                    acc.rigid_violation_count += 1
-                    if len(acc.rigid_layer_violations) < _VIOLATION_CAP:
-                        acc.rigid_layer_violations.append(
-                            (bits, mismatch, counts[mismatch - 1], v_sizes[mismatch])
-                        )
+        key = (tuple([(bits & m).bit_count() for m in layer_masks]), flags(bits),
+               tuple([(bits & m).bit_count() for m in star_masks]))
+        if key in hist:
+            hist[key] += 1
+        else:
+            hist[key] = 1
+            if any(_findings(job, key, layout) for job in jobs):
+                kept[key] = []
+        if key in kept:
+            kept[key].append(bits)
 
     return on_leaf
 
 
-def _pass_worker(payload) -> tuple[int, list[dict]]:
-    n, specs, prefixes = payload
-    accums = [_JobAccum(spec) for spec in specs]
-    on_leaf = _compile_leaf(n, specs, accums)
-    total = 0
+def _pass_worker(payload) -> tuple[Counter, dict[tuple, list[int]]]:
+    n, jobs, prefixes = payload
+    hist: Counter = Counter()
+    kept: dict[tuple, list[int]] = {}
+    on_leaf = _histogram_leaf(n, jobs, hist, kept)
     for prefix in prefixes:
-        total += _dfs_subsets(n, on_leaf, prefix)
-    return total, [a.partial() for a in accums]
+        _dfs_subsets(n, on_leaf, prefix)
+    return hist, kept
 
 
-def _run_pass(n: int, specs: Sequence[_JobSpec], workers: int) -> tuple[int, list[_JobAccum]]:
-    accums = [_JobAccum(spec) for spec in specs]
+def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
+              ) -> tuple[Counter, dict[tuple, list[int]]]:
+    """One enumeration pass: the key histogram of the maximal families on [n]
+    and the bits of the families under interesting keys."""
     if workers <= 1:
-        on_leaf = _compile_leaf(n, specs, accums)
-        total = _dfs_subsets(n, on_leaf)
-        return total, accums
+        return _pass_worker((n, jobs, [()]))
     prefixes = _split_prefixes(n, 8 * workers)
     chunks = [prefixes[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
     ctx = get_context()
     with ctx.Pool(processes=len(chunks)) as pool:
-        results = pool.map(_pass_worker, [(n, tuple(specs), chunk) for chunk in chunks])
-    total = 0
-    for sub_total, partials in results:
-        total += sub_total
-        for accum, partial in zip(accums, partials):
-            accum.merge(partial)
-    return total, accums
+        results = pool.map(_pass_worker, [(n, tuple(jobs), chunk) for chunk in chunks])
+    hist: Counter = Counter()
+    kept: dict[tuple, list[int]] = {}
+    for sub_hist, sub_kept in results:
+        hist.update(sub_hist)
+        for key, fams in sub_kept.items():
+            kept.setdefault(key, []).extend(fams)
+    return hist, kept
+
+
+def _tally(job: tuple[str, Params], hist: Counter, kept: dict, layout: tuple
+           ) -> tuple[int, dict[str, list[tuple]]]:
+    """The families one job checked, and its findings by name as sorted (bits, *details)."""
+    checked = 0
+    found: dict[str, list[tuple]] = defaultdict(list)
+    for key, count in hist.items():
+        findings = _findings(job, key, layout)
+        if findings is None:
+            continue
+        checked += count
+        for name, *details in findings:
+            found[name] += [(bits, *details) for bits in kept[key]]
+    for entries in found.values():
+        entries.sort()
+    return checked, found
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
+
+def _family_json(bits: int, n: int) -> list[list[int]]:
+    return [list(m) for m in SetFamily(n=n, bits=bits).member_sets()]
+
 
 def _achiever_classes(n: int, achiever_bits: Sequence[int]) -> list[tuple[SetFamily, int, tuple]]:
     """Achievers as S_n-orbits: (least member, orbit size, canonical encoding), by encoding.
@@ -773,19 +698,15 @@ def _achiever_classes(n: int, achiever_bits: Sequence[int]) -> list[tuple[SetFam
     return classes
 
 
-def _finalize_theorem(spec: _JobSpec, accum: _JobAccum, families_total: int,
+def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,
                       iso_classes: int, runtime_ms: int | None) -> TheoremReport:
-    p = spec.params()
     n = p.n
-    violations: list[dict] = []
-    for bits, size in sorted(accum.bound_violations):
-        violations.append({
-            "type": "bound-exceeded",
-            "size": size,
-            "bound": _job_constants(spec)["bound"],
-            "family": [list(m) for m in _family_encoding(bits, n)],
-        })
-    classes = _achiever_classes(n, accum.achievers)
+    bound = _job_constants(p).bound
+    violations = [
+        {"type": "bound-exceeded", "size": size, "bound": bound, "family": _family_json(bits, n)}
+        for bits, size in found["bound-exceeded"][:_VIOLATION_CAP]
+    ]
+    classes = _achiever_classes(n, [bits for bits, in found[ACHIEVER]])
     unique_required = uniqueness_condition(p)
     if unique_required:
         verdict = "unique-iso" if len(classes) == 1 else "multiple-iso"
@@ -805,9 +726,9 @@ def _finalize_theorem(spec: _JobSpec, accum: _JobAccum, families_total: int,
         verdict = "not-applicable"
     return TheoremReport(
         params=p,
-        bound=_job_constants(spec)["bound"],
+        bound=bound,
         families_total=families_total,
-        families_checked=accum.qual,
+        families_checked=checked,
         iso_classes_checked=iso_classes,
         achievers=tuple(enc for _, _, enc in classes),
         achiever_class_sizes=tuple(size for _, size, _ in classes),
@@ -817,40 +738,36 @@ def _finalize_theorem(spec: _JobSpec, accum: _JobAccum, families_total: int,
     )
 
 
-def _finalize_lemmas(spec: _JobSpec, accum: _JobAccum, families_total: int,
+def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
                      iso_classes: int, runtime_ms: int | None) -> dict[str, LemmaReport]:
-    p = spec.params()
     n = p.n
-    consts = _job_constants(spec)
+    v_sizes = _job_constants(p).v_sizes
     removed = [
-        {"type": "removed-layer-empty", "family": [list(m) for m in _family_encoding(bits, n)]}
-        for bits in sorted(accum.removed_violations)
+        {"type": "removed-layer-empty", "family": _family_json(bits, n)}
+        for bits, in found["removed-layer-empty"][:_VIOLATION_CAP]
     ]
     dominance = [
         {
             "type": "layer-dominance-failed", "layer": l, "count": c,
-            "shadow_layer_size": consts["v_sizes"][l],
-            "family": [list(m) for m in _family_encoding(bits, n)],
+            "shadow_layer_size": v_sizes[l],
+            "family": _family_json(bits, n),
         }
-        for bits, l, c in sorted(accum.dominance_violations)
+        for bits, l, c in found["layer-dominance-failed"][:_VIOLATION_CAP]
     ]
-    rigid: list[dict] = []
-    for bits, l, got, want in sorted(accum.rigid_layer_violations):
-        rigid.append({
+    rigid = [
+        {
             "type": "valuable-layer-mismatch", "layer": l, "count": got,
-            "shadow_layer_size": want,
-            "family": [list(m) for m in _family_encoding(bits, n)],
-        })
+            "shadow_layer_size": want, "family": _family_json(bits, n),
+        }
+        for bits, l, got, want in found["valuable-layer-mismatch"][:_VIOLATION_CAP]
+    ]
     shadow_orbit = _orbit(n, hm_shadow_valuable(p).bits)
-    candidates = sorted(accum.rigid_candidates)
-    for bits in candidates:
+    candidates = found[RIGIDITY_CANDIDATE]
+    for bits, in candidates:
         if valuable_part(SetFamily(n=n, bits=bits), p).bits not in shadow_orbit:
-            rigid.append({
-                "type": "valuable-part-not-isomorphic",
-                "family": [list(m) for m in _family_encoding(bits, n)],
-            })
+            rigid.append({"type": "valuable-part-not-isomorphic", "family": _family_json(bits, n)})
     notices = []
-    if consts["v_sizes"][p.q] == 0:
+    if v_sizes[p.q] == 0:
         notices.append(
             "bottom shadow layer is empty (q=%d); the inhabited-layer hypothesis holds vacuously"
             % p.q
@@ -859,15 +776,15 @@ def _finalize_lemmas(spec: _JobSpec, accum: _JobAccum, families_total: int,
     def make(check: str, violations: list[dict], cands: int) -> LemmaReport:
         return LemmaReport(
             check=check, params=p, families_total=families_total,
-            families_checked=accum.qual, candidates=cands,
+            families_checked=checked, candidates=cands,
             violations=tuple(violations),
             notices=tuple(notices) if check == CHECK_VALUABLE_RIGIDITY else (),
             runtime_ms=runtime_ms,
         )
 
     return {
-        CHECK_REMOVED_LAYER: make(CHECK_REMOVED_LAYER, removed, accum.qual),
-        CHECK_LAYER_DOMINANCE: make(CHECK_LAYER_DOMINANCE, dominance, accum.qual),
+        CHECK_REMOVED_LAYER: make(CHECK_REMOVED_LAYER, removed, checked),
+        CHECK_LAYER_DOMINANCE: make(CHECK_LAYER_DOMINANCE, dominance, checked),
         CHECK_VALUABLE_RIGIDITY: make(CHECK_VALUABLE_RIGIDITY, rigid, len(candidates)),
     }
 
@@ -897,44 +814,37 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
     """Run one enumeration pass at n serving all requested verification jobs."""
     _check_cap(n, cap_override)
     started = time.monotonic()
-    specs: list[_JobSpec] = []
-    for p in theorem_params:
-        if p.n != n:
-            raise ParameterError("theorem parameters disagree with the pass ground set")
-        _validate_verify_params(p, check)
-        specs.append(_JobSpec("theorem", p.n, p.k, None if p.unbounded else p.m))
-    for p in lemma_params:
-        if p.n != n:
-            raise ParameterError("lemma parameters disagree with the pass ground set")
-        _validate_verify_params(p, check)
-        specs.append(_JobSpec("lemmas", p.n, p.k, None if p.unbounded else p.m))
+    jobs: list[tuple[str, Params]] = []
+    for kind, label, params in ((THEOREM, "theorem", theorem_params),
+                                (LEMMAS, "lemma", lemma_params)):
+        for p in params:
+            if p.n != n:
+                raise ParameterError(f"{label} parameters disagree with the pass ground set")
+            _validate_verify_params(p, check)
+            jobs.append((kind, p))
 
-    families_total, accums = _run_pass(n, specs, workers)
+    hist, kept = _run_pass(n, jobs, workers)
+    families_total = sum(hist.values())
 
     # isomorphism classes of qualifying families per distinct window, via orbit counting
-    qualifiers = []
-    seen_windows = {}
-    for spec in specs:
-        wkey = (_job_constants(spec)["q"], _job_constants(spec)["k"])
-        if wkey not in seen_windows:
-            seen_windows[wkey] = len(qualifiers)
-            qualifiers.append(_qualifier(n, *wkey))
-    nonidentity = _burnside_nonidentity(n, qualifiers) if qualifiers else []
+    layout = _key_layout(jobs)
+    windows = layout[0]
+    nonidentity = _burnside_nonidentity(n, windows) if windows else []
 
     runtime_ms = int((time.monotonic() - started) * 1000) if timing else None
 
     theorem_reports = []
     lemma_bundles = []
-    for spec, accum in zip(specs, accums):
-        wkey = (_job_constants(spec)["q"], _job_constants(spec)["k"])
-        iso_classes = _orbit_count(n, accum.qual + nonidentity[seen_windows[wkey]])
-        if spec.kind == "theorem":
+    for kind, p in jobs:
+        checked, found = _tally((kind, p), hist, kept, layout)
+        iso_classes = _orbit_count(n, checked + nonidentity[1 + windows.index((p.q, p.k))])
+        if kind == THEOREM:
             theorem_reports.append(
-                _finalize_theorem(spec, accum, families_total, iso_classes, runtime_ms)
+                _finalize_theorem(p, checked, found, families_total, iso_classes, runtime_ms)
             )
         else:
             lemma_bundles.append(
-                _finalize_lemmas(spec, accum, families_total, iso_classes, runtime_ms)
+                _finalize_lemmas(p, checked, found, families_total, iso_classes, runtime_ms)
             )
     return VerificationResults(
         families_total=families_total,

@@ -1,17 +1,20 @@
 """Enumeration and verification: generator soundness, oracles, theorem checks."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 from collections import Counter
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
 from msfam import (
     CHECK_LAYER_DOMINANCE, CHECK_REMOVED_LAYER, CHECK_VALUABLE_RIGIDITY, LEMMA_CHECKS,
     InvariantError, MultisetFamily, Params, SearchCapError, SetFamily, UNBOUNDED,
-    canonical_set_family, count_iso_classes, enumerate_maximal_families,
+    canonical_set_family, coeff, count_iso_classes, enumerate_maximal_families,
+    hm_shadow_layer_size, hm_size,
     is_maximal_intersecting_definitional, is_maximal_intersecting_sf, is_trivial,
     naive_enumerate_maximal, preimage_family, raw_max_nontrivial, run_verification,
     uniqueness_condition, valuable_part,
@@ -81,9 +84,29 @@ def test_iso_classes_match_canonical_dedup():
         assert len(encodings) == ISO_CLASS_COUNTS[n]
 
 
+@lru_cache(maxsize=None)
+def _qualifying(n, p):
+    """Layer counts and weighted size of each maximal family on [n] whose valuable
+    part is non-trivial, by bits, straight from the definitions."""
+    out = {}
+    for fam in enumerate_maximal_families(n):
+        vp = valuable_part(fam, p)
+        core = (1 << n) - 1
+        for mask in vp.members():
+            core &= mask
+        if len(vp) == 0 or core:
+            continue
+        members = fam.member_sets()
+        layers = Counter(len(s) for s in members)
+        # coeff(k, l, m) counts the k-multisets whose support is a given l-set
+        size = sum(coeff(p.k, len(s), p.m) for s in members)
+        out[fam.bits] = (layers, size, members)
+    return out
+
+
 def _achievers(n, k, m_key):
-    _, (accum,) = search._run_pass(n, [search._JobSpec("theorem", n, k, m_key)], 1)
-    return accum.achievers
+    p = Params(n, k, UNBOUNDED if m_key is None else m_key)
+    return [bits for bits, (_, size, _) in _qualifying(n, p).items() if size == hm_size(p)]
 
 
 @pytest.mark.parametrize("n,k,m_key", [(5, 4, None), (6, 4, 2)])
@@ -262,6 +285,101 @@ def test_worker_determinism_small():
         return "".join(parts)
 
     assert blob(1) == blob(2) == blob(4)
+
+
+def test_shared_pass_counts_each_window_by_definition():
+    cells = [Params(6, 4, 2), Params(6, 4, UNBOUNDED), Params(6, 5, UNBOUNDED), Params(6, 4, 3)]
+    reports = run_verification(6, theorem_params=cells).theorem_reports
+    assert [r.families_checked for r in reports] == [len(_qualifying(6, p)) for p in cells]
+
+
+def _patch_constants(monkeypatch, change):
+    """Make every job see altered constants, as a wrong bound or closed form would give."""
+    original = search._job_constants
+    monkeypatch.setattr(search, "_job_constants", lambda p: change(original(p)))
+
+
+def _reported(violations, kind, *fields):
+    return [(SetFamily.from_sets(6, v["family"]).bits, *(v[f] for f in fields))
+            for v in violations if v["type"] == kind]
+
+
+def test_lowered_bound_reports_every_family_above_it(monkeypatch):
+    p = Params(6, 4, 3)
+    bound = hm_size(p) - 1
+    _patch_constants(monkeypatch, lambda c: c._replace(bound=c.bound - 1))
+    report = verify_hm_theorem(6, 4, 3)
+    expected = sorted((bits, size) for bits, (_, size, _) in _qualifying(6, p).items()
+                      if size > bound)
+    assert len(expected) == 30  # the shadow's class, all at the true bound
+    assert _reported(report.lemma_violations, "bound-exceeded", "size") == expected
+    assert {v["bound"] for v in report.lemma_violations if "bound" in v} == {bound}
+    assert not report.passed
+
+
+def test_perturbed_shadow_layer_fails_dominance_and_rigidity(monkeypatch):
+    p = Params(6, 4, 2)
+    shrunk = 2  # the bottom layer q, also checked by dominance on 2..w
+    v = [hm_shadow_layer_size(p, l) - (l == shrunk) for l in range(7)]
+    _patch_constants(monkeypatch, lambda c: c._replace(
+        v_sizes=tuple(s - (l == shrunk) for l, s in enumerate(c.v_sizes))))
+    bundle = verify_lemma_bundle(6, 4, 2)
+    dominance, mismatch = [], []
+    for bits, (layers, _, _) in sorted(_qualifying(6, p).items()):
+        dominance += [(bits, l, layers[l], v[l]) for l in range(2, p.w + 1) if layers[l] > v[l]]
+        if v[p.q] and layers[p.q] == v[p.q]:
+            l = next(l for l in range(p.q, p.k + 1) if layers[l] != v[l])
+            mismatch.append((bits, l, layers[l], v[l]))
+    assert dominance and mismatch
+    got = bundle[CHECK_LAYER_DOMINANCE].violations
+    assert _reported(got, "layer-dominance-failed", "layer", "count", "shadow_layer_size") == dominance
+    got = bundle[CHECK_VALUABLE_RIGIDITY].violations
+    assert _reported(got, "valuable-layer-mismatch", "layer", "count", "shadow_layer_size") == mismatch
+    assert bundle[CHECK_VALUABLE_RIGIDITY].candidates == 0
+    assert bundle[CHECK_REMOVED_LAYER].passed
+
+
+def test_lowered_removed_layer_cap_reports_removed_layer_empty(monkeypatch):
+    p = Params(6, 4, 2)
+    cap = comb(5, 1) - 1  # the star's layer n-k = 2 has C(5, 1) members
+    _patch_constants(monkeypatch, lambda c: c._replace(star_cap=c.star_cap - 1))
+    report = verify_removed_layer(6, 4, 2)
+    expected = sorted(
+        bits for bits, (_, _, members) in _qualifying(6, p).items()
+        if sum(1 for s in members if len(s) == 2 and 1 in s) >= cap
+    )
+    assert expected
+    assert _reported(report.violations, "removed-layer-empty") == [(b,) for b in expected]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched constants reach pool workers only through fork")
+def test_violation_cap_applies_after_sorting(monkeypatch):
+    monkeypatch.setattr(search, "_VIOLATION_CAP", 3)
+    _patch_constants(monkeypatch, lambda c: c._replace(
+        bound=c.bound - 1, star_cap=c.star_cap - 1,
+        v_sizes=tuple(s - (l == 2) for l, s in enumerate(c.v_sizes))))
+
+    def run(workers):
+        res = run_verification(6, theorem_params=[Params(6, 4, 2)],
+                               lemma_params=[Params(6, 4, 2)], workers=workers)
+        return res.theorem_reports[0], res.lemma_bundles[0]
+
+    def blob(reports):
+        theorem, bundle = reports
+        return to_canonical_json(theorem) + "".join(
+            to_canonical_json(bundle[name]) for name in LEMMA_CHECKS)
+
+    theorem, bundle = reports = run(1)
+    assert blob(reports) == blob(run(2)) == blob(run(4))
+    p = Params(6, 4, 2)
+    smallest = sorted(bits for bits, (_, size, _) in _qualifying(6, p).items()
+                      if size >= hm_size(p))[:3]
+    assert _reported(theorem.lemma_violations, "bound-exceeded") == [(b,) for b in smallest]
+    for name, kind in ((CHECK_REMOVED_LAYER, "removed-layer-empty"),
+                       (CHECK_LAYER_DOMINANCE, "layer-dominance-failed"),
+                       (CHECK_VALUABLE_RIGIDITY, "valuable-layer-mismatch")):
+        assert len(_reported(bundle[name].violations, kind)) == 3
 
 
 def test_uniqueness_condition():
