@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from msfam import MultisetFamily, Params, UNBOUNDED, build_hm
+from msfam import MultisetFamily, Params, UNBOUNDED, build_hm, search
 from msfam.cli import main
 from msfam.fileio import (
     FileFormatError, multiset_family_text, parse_multiset, read_multiset_family,
@@ -167,6 +167,17 @@ def test_cli_cap_exceeded_exit_2(capsys):
     code, _, err = run_cli(capsys, "enumerate-maximal", "--n", "9")
     assert code == 2
     assert "guard" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_workers_below_one_exit_2(capsys, monkeypatch, workers):
+    def refuse(*args):
+        raise AssertionError("no enumeration pass may start")
+    monkeypatch.setattr(search, "_run_pass", refuse)
+    code, _, err = run_cli(capsys, "verify-theorem", "--n", "5", "--k", "4", "--m", "inf",
+                           "--workers", workers)
+    assert code == 2
+    assert "workers" in err
 
 
 def test_cli_precondition_rejected_without_unchecked(capsys):

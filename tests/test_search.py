@@ -12,7 +12,7 @@ import pytest
 
 from msfam import (
     CHECK_LAYER_DOMINANCE, CHECK_REMOVED_LAYER, CHECK_VALUABLE_RIGIDITY, LEMMA_CHECKS,
-    InvariantError, MultisetFamily, Params, SearchCapError, SetFamily, UNBOUNDED,
+    InvariantError, MultisetFamily, ParameterError, Params, SearchCapError, SetFamily, UNBOUNDED,
     canonical_set_family, coeff, count_iso_classes, enumerate_maximal_families,
     hm_shadow_layer_size, hm_size,
     is_maximal_intersecting_definitional, is_maximal_intersecting_sf, is_trivial,
@@ -76,6 +76,50 @@ def test_up_to_iso_matches_class_count(n):
     # representatives are pairwise non-isomorphic
     encodings = {canonical_set_family(f) for f in reps}
     assert len(encodings) == len(reps)
+
+
+def _one_dfs(n):
+    out = []
+    search._dfs_subsets(n, out.append)
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("prefixes", [2, 16, 256])
+def test_enumeration_order_is_one_dfs(monkeypatch, n, prefixes):
+    monkeypatch.setattr(search, "_ENUMERATION_PREFIXES", prefixes)
+    assert [f.bits for f in enumerate_maximal_families(n)] == _one_dfs(n)
+
+
+def test_up_to_iso_yields_first_member_of_each_class_n6():
+    seen, expected = set(), []
+    for bits in _one_dfs(6):
+        enc = canonical_set_family(SetFamily(n=6, bits=bits))
+        if enc not in seen:
+            seen.add(enc)
+            expected.append(bits)
+    assert len(expected) == 30
+    assert [f.bits for f in enumerate_maximal_families(6, up_to_iso=True)] == expected
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("target", [2, 16, 128])
+def test_split_prefixes_partition_the_tree(n, target):
+    prefixes = search._split_prefixes(n, target)
+    assert prefixes == search._split_prefixes(n, target)
+    assert len(prefixes) == min(target, MAXIMAL_COUNTS[n])
+    t = search._tables(n)
+    for prefix in prefixes:
+        st, trail, assign, undo = search._propagator(t.full + 1, t.comp, t.sup, t.sub, t.bit)
+        assert all(assign(x, v, 0) >= 0 for x, v in prefix)
+    as_set = set(prefixes)
+    assert len(as_set) == len(prefixes)
+    for prefix in prefixes:
+        assert not any(prefix[:i] in as_set for i in range(len(prefix)))
+    leaves = [search._dfs_subsets(n, lambda bits: None, prefix) for prefix in prefixes]
+    assert sum(leaves) == MAXIMAL_COUNTS[n]
+    if (n, target) == (6, 128):
+        assert max(leaves) <= 0.1 * MAXIMAL_COUNTS[n]
 
 
 def test_iso_classes_match_canonical_dedup():
@@ -284,7 +328,16 @@ def test_worker_determinism_small():
         parts.extend(to_canonical_json(res.lemma_bundles[0][name]) for name in LEMMA_CHECKS)
         return "".join(parts)
 
-    assert blob(1) == blob(2) == blob(4)
+    assert blob(1) == blob(2) == blob(3) == blob(4)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(monkeypatch, workers):
+    def refuse(*args):
+        raise AssertionError("no enumeration pass may start")
+    monkeypatch.setattr(search, "_run_pass", refuse)
+    with pytest.raises(ParameterError):
+        run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
 
 
 def test_shared_pass_counts_each_window_by_definition():
@@ -371,7 +424,7 @@ def test_violation_cap_applies_after_sorting(monkeypatch):
             to_canonical_json(bundle[name]) for name in LEMMA_CHECKS)
 
     theorem, bundle = reports = run(1)
-    assert blob(reports) == blob(run(2)) == blob(run(4))
+    assert blob(reports) == blob(run(2)) == blob(run(3)) == blob(run(4))
     p = Params(6, 4, 2)
     smallest = sorted(bits for bits, (_, size, _) in _qualifying(6, p).items()
                       if size >= hm_size(p))[:3]
