@@ -12,6 +12,7 @@ and the path is relative.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import os
@@ -63,14 +64,17 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _open_out(out_path: str | None):
     resolved = _resolve_out(out_path)
     if resolved is None:
-        sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(resolved) or ".", exist_ok=True)
-        with open(resolved, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    os.makedirs(os.path.dirname(resolved) or ".", exist_ok=True)
+    return open(resolved, "w")
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _open_out(out_path) as fh:
+        fh.write(text)
 
 
 def _cmd_coeffs(args) -> int:
@@ -176,30 +180,32 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    families = list(search.enumerate_maximal_families(
-        args.n, up_to_iso=args.up_to_iso, cap_override=args.cap_override,
-    ))
+    def families():
+        return search.enumerate_maximal_families(
+            args.n, up_to_iso=args.up_to_iso, cap_override=args.cap_override,
+        )
+
     if args.format == "json":
+        listed = list(families())
         payload = {
             "kind": "maximal-families",
             "tool_version": TOOL_VERSION,
             "n": args.n,
             "up_to_iso": bool(args.up_to_iso),
-            "count": len(families),
-            "families": [[list(m) for m in fam.member_sets()] for fam in families],
+            "count": len(listed),
+            "families": [[list(m) for m in fam.member_sets()] for fam in listed],
         }
         _emit(to_canonical_json(payload), args.out)
         return 0
-    buf = io.StringIO()
-    buf.write(f"{args.n}\n")
-    buf.write(f"# {len(families)} maximal intersecting families"
-              f"{' (one per isomorphism class)' if args.up_to_iso else ''}\n")
-    for i, fam in enumerate(families):
-        buf.write(f"# family {i}\n")
-        for member in fam.member_sets():
-            buf.write(" ".join(str(e) for e in member) + "\n")
-        buf.write("\n")
-    _emit(buf.getvalue(), args.out)
+    # the header needs the count, so a first walk counts (and meets the guard
+    # before anything is written); the second writes each family as it comes
+    count = sum(1 for _ in families())
+    with _open_out(args.out) as fh:
+        fh.write(f"{args.n}\n# {count} maximal intersecting families"
+                 f"{' (one per isomorphism class)' if args.up_to_iso else ''}\n")
+        for i, fam in enumerate(families()):
+            members = "".join(" ".join(map(str, member)) + "\n" for member in fam.member_sets())
+            fh.write(f"# family {i}\n{members}\n")
     return 0
 
 

@@ -4,10 +4,13 @@ verification passes built on top of it.
 A maximal intersecting family of proper non-empty subsets of [n] contains
 exactly one side of every complementary pair and is closed upward; conversely
 any family with those two properties is maximal intersecting.  The enumerator
-therefore walks a binary decision tree over complementary pairs, propagating
-two implications after every assignment: a member forces all its supersets in,
-a non-member forces all its subsets out.  Every leaf is a maximal family and
-every maximal family appears exactly once.
+therefore walks a binary decision tree over complementary pairs, with the
+state a pair (in, out) of family bitsets.  Taking x in forces exactly x and
+its supersets in and the complement of x and its subsets out; taking x out
+is the same with the roles of x and its complement swapped.  These closures
+are precomputed, so a decision is two ORs and a branch is consistent iff in
+and out are disjoint; there is no trail and nothing to undo.  Every leaf is
+a maximal family and every maximal family appears exactly once.
 
 Verification jobs ride along on a single enumeration pass.  The bound and the
 lemmas see a family only through its layer counts, whether its valuable part
@@ -19,16 +22,17 @@ a rigidity candidate), which is decided the first time the key is seen.  The
 jobs then run once per distinct key: n=7 has a few hundred keys among its
 1.42M families.  Isomorphism classes are S_n-orbits under relabelling of
 [n].  Their counts come from the orbit-counting lemma: for each cycle type
-the invariant families are enumerated over a collapsed pair system whose
-items are the orbits of subsets under the permutation.  Achievers are
+the invariant families are enumerated over a pair system of the same shape
+whose items are the orbits of subsets under the permutation, an orbit's
+closure being the union of its members' closures.  Achievers are
 grouped into classes by orbit closure under the adjacent transpositions.
 
 Work splits across processes by partitioning the decision tree into about 64
 prefixes per worker.  The tree is lopsided, so the prefix with the most
 undecided pairs is always split next; a pool then takes the prefixes one at
 a time, largest first, and the parent merges each result as it arrives.
-With that, the n=7 pass of six jobs takes 9.4 s at two workers against
-18.0 s at one (medians, 2-core Xeon, Python 3.11).  All per-family collections are sorted
+With that, the n=7 pass of six jobs takes 5.0 s at two workers against
+9.7 s at one (medians, 2-core Xeon, Python 3.11).  All per-family collections are sorted
 before reporting, and violation lists are cut to their first entries only
 after that sort, so report bytes do not depend on the worker count.
 """
@@ -40,9 +44,10 @@ import sys
 import time
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 from multiprocessing import get_context
+from operator import or_
 from typing import Callable, Iterator, Sequence
 
 from .coeffs import coeff_table
@@ -79,6 +84,8 @@ LEMMA_CHECKS = (CHECK_REMOVED_LAYER, CHECK_LAYER_DOMINANCE, CHECK_VALUABLE_RIGID
 
 
 def _check_cap(n: int, cap_override: bool) -> None:
+    if n < 2:
+        raise ParameterError("enumeration needs n >= 2")
     if n > DEFAULT_ENUMERATION_CAP and not cap_override:
         raise SearchCapError(
             f"enumeration at n={n} exceeds the guard (n <= {DEFAULT_ENUMERATION_CAP}); "
@@ -90,49 +97,39 @@ def _check_cap(n: int, cap_override: bool) -> None:
 # pair-implication systems
 # ---------------------------------------------------------------------------
 
-_Tables = namedtuple("_Tables", "n full comp sup sub bit reps layers star_layers")
+_Tables = namedtuple("_Tables", "full up down decisions layers star_layers")
 
 
 @lru_cache(maxsize=None)
 def _tables(n: int) -> _Tables:
+    """Closure bitsets over the proper non-empty subsets of [n], and the subset pair system.
+
+    up[x] is the family bitset of x and its proper supersets short of [n],
+    down[x] that of x and its non-empty subsets.  Both are transitively
+    closed: a member forces exactly up[x] in, a non-member exactly down[x] out.
+    """
     full = (1 << n) - 1
-    comp = [full ^ x for x in range(full + 1)]
-    sup = [()] * (full + 1)
-    sub = [()] * (full + 1)
+    singles = [1 << e for e in range(n)]
+    down = [0] * (full + 1)
     for x in range(1, full):
-        rest = full ^ x
-        sups = []
-        t = rest
-        while t:
-            y = x | t
-            if y != full:
-                sups.append(y)
-            t = (t - 1) & rest
-        sup[x] = tuple(sorted(sups))
-        subs = []
-        t = (x - 1) & x
-        while t:
-            subs.append(t)
-            t = (t - 1) & x
-        sub[x] = tuple(sorted(subs))
+        down[x] = reduce(or_, (down[x ^ b] for b in singles if x & b), 1 << x)
+    up = [0] * (full + 1)  # up[full] stays empty: [n] itself is never a member
+    for x in range(full - 1, 0, -1):
+        up[x] = reduce(or_, (up[x | b] for b in singles if not x & b), 1 << x)
+
+    def side(x: int) -> tuple[int, int]:
+        return x.bit_count(), x
+
     # one decision per complementary pair: the smaller side, ties by mask value
-    reps = []
-    for x in range(1, full):
-        c = comp[x]
-        px, pc = x.bit_count(), c.bit_count()
-        if px < pc or (px == pc and x < c):
-            reps.append((px, x))
-    reps.sort()
+    reps = sorted((x for x in range(1, full) if side(x) < side(full ^ x)), key=side)
+    decisions = tuple((1 << x, ((up[x], down[full ^ x]), (up[full ^ x], down[x]))) for x in reps)
     layers = layer_bitsets(n)
     star_layers = tuple(
         sum(1 << x for x in range(1, full) if x & 1 and x.bit_count() == l)
         for l in range(n + 1)
     )
-    return _Tables(
-        n=n, full=full, comp=tuple(comp), sup=tuple(sup), sub=tuple(sub),
-        bit=tuple(1 << x for x in range(full + 1)), reps=tuple(x for _, x in reps),
-        layers=layers, star_layers=star_layers,
-    )
+    return _Tables(full=full, up=tuple(up), down=tuple(down), decisions=decisions,
+                   layers=layers, star_layers=star_layers)
 
 
 @lru_cache(maxsize=None)
@@ -173,102 +170,56 @@ def _window_flags(n: int, windows: Sequence[tuple[int, int]]) -> Callable[[int],
     return flags
 
 
-def _propagator(size, comp, sup, sub, bits_of):
-    """Decisions on one pair system, each followed by its two implications.
+def _dfs(decisions, on_leaf, prefix=()) -> int:
+    """Enumerate all completions of a pair system; returns the leaf count.
 
-    Returns (st, trail, assign, undo).  st[x] is 0 while item x is undecided,
-    1 once it is a member and 2 once it is not; trail lists the decided items
-    in order.  assign(x, v, bits) decides x as v, propagates, and returns the
-    family bitset bits with the new members added, or -1 on a conflict.
-    undo(mark) takes back every decision after the first mark items of trail.
+    The state is the pair (in, out) of family bitsets of the items decided
+    in and out.  decisions lists one (bit, outcomes) per complementary pair
+    in decision order: the pair is decided once bit lies in in | out, and
+    outcomes holds the closures (in, out) that taking bit's side in, or
+    out, adds.  A state is consistent iff in & out is empty, and a leaf's
+    family is its in.  In the subset system every branch is consistent (in
+    is an up-set and out a down-set, so an undecided pair can go either
+    way); conflicts arise in the orbit systems, whose orbits can hold two
+    disjoint subsets.  prefix, a sequence of (decision index, outcome
+    index), is replayed first; an inconsistent prefix contributes nothing.
     """
-    st = bytearray(size)
-    trail: list[int] = []
-
-    def assign(x0: int, v0: int, bits: int) -> int:
-        stack = [(x0, v0)]
-        while stack:
-            x, v = stack.pop()
-            s = st[x]
-            if s:
-                if s != v:
-                    return -1
-                continue
-            c = comp[x]
-            st[x] = v
-            st[c] = 3 - v
-            trail.append(x)
-            if v == 1:
-                bits |= bits_of[x]
-                for y in sup[x]:
-                    if st[y] != 1:
-                        stack.append((y, 1))
-                for y in sub[c]:
-                    if st[y] != 2:
-                        stack.append((y, 2))
-            else:
-                bits |= bits_of[c]
-                for y in sub[x]:
-                    if st[y] != 2:
-                        stack.append((y, 2))
-                for y in sup[c]:
-                    if st[y] != 1:
-                        stack.append((y, 1))
-        return bits
-
-    def undo(mark: int) -> None:
-        for y in trail[mark:]:
-            st[y] = 0
-            st[comp[y]] = 0
-        del trail[mark:]
-
-    return st, trail, assign, undo
-
-
-def _dfs(size, comp, sup, sub, bits_of, reps, on_leaf, prefix=()) -> int:
-    """Enumerate all completions of the pair system; returns the leaf count.
-
-    comp, sup, sub, bits_of are indexable by item id; reps lists one item per
-    complementary pair in decision order.  prefix is replayed first and an
-    inconsistent prefix contributes nothing.
-    """
-    floor = 2 * len(reps) + 500
+    floor = len(decisions) + 500
     if sys.getrecursionlimit() < floor:
         sys.setrecursionlimit(floor)
-    st, trail, assign, undo = _propagator(size, comp, sup, sub, bits_of)
-    bits = 0
-    for x, v in prefix:
-        bits = assign(x, v, bits)
-        if bits < 0:
-            return 0
+    fin = fout = 0
+    for idx, v in prefix:
+        add_in, add_out = decisions[idx][1][v]
+        fin |= add_in
+        fout |= add_out
+    if fin & fout:
+        return 0
 
     leaves = 0
-    nreps = len(reps)
+    count = len(decisions)
 
-    def rec(idx: int, bits: int) -> None:
+    def rec(idx: int, fin: int, fout: int) -> None:
         nonlocal leaves
-        while idx < nreps and st[reps[idx]]:
+        decided = fin | fout
+        while idx < count and decisions[idx][0] & decided:
             idx += 1
-        if idx == nreps:
+        if idx == count:
             leaves += 1
-            on_leaf(bits)
+            on_leaf(fin)
             return
-        x = reps[idx]
-        for v in (1, 2):
-            mark = len(trail)
-            child = assign(x, v, bits)
-            if child >= 0:
-                rec(idx + 1, child)
-            undo(mark)
+        for add_in, add_out in decisions[idx][1]:
+            child_in = fin | add_in
+            child_out = fout | add_out
+            if not child_in & child_out:
+                rec(idx + 1, child_in, child_out)
 
-    rec(0, bits)
+    rec(0, fin, fout)
     del rec  # rec refers to itself; break that cycle so on_leaf is released now
     return leaves
 
 
 def _dfs_subsets(n: int, on_leaf, prefix=()) -> int:
-    t = _tables(n)
-    return _dfs(t.full + 1, t.comp, t.sup, t.sub, t.bit, t.reps, on_leaf, prefix)
+    return _dfs(_tables(n).decisions, on_leaf, prefix)
 
 
 def _split_prefixes(n: int, target: int) -> list[tuple]:
@@ -280,25 +231,21 @@ def _split_prefixes(n: int, target: int) -> list[tuple]:
     member closes a whole star in one leaf), so splitting by depth would
     leave most leaves under one prefix.  Returned largest estimate first, ties in DFS order;
     DFS order itself is the sorted order, since siblings differ only in
-    (x, 1) against (x, 2).
+    (i, 0) against (i, 1).
     """
-    t = _tables(n)
-    st, trail, assign, undo = _propagator(t.full + 1, t.comp, t.sup, t.sub, t.bit)
-    reps = t.reps
-    heap = [(-len(reps), ())]
+    decisions = _tables(n).decisions
+    pairs = len(decisions)
+    heap = [(-pairs, (), 0, 0)]
     while len(heap) < target and heap[0][0] < 0:
-        _, pre = heapq.heappop(heap)
-        undo(0)
-        for x, v in pre:  # consistent: only consistent children are pushed
-            assign(x, v, 0)
-        mark = len(trail)
-        x = next(r for r in reps if not st[r])
-        for v in (1, 2):
-            if assign(x, v, 0) >= 0:
-                undecided = sum(1 for r in reps if not st[r])
-                heapq.heappush(heap, (-undecided, pre + ((x, v),)))
-            undo(mark)
-    return [pre for _, pre in sorted(heap)]
+        _, pre, fin, fout = heapq.heappop(heap)
+        decided = fin | fout
+        idx = next(i for i, (bit, _) in enumerate(decisions) if not bit & decided)
+        for v, (add_in, add_out) in enumerate(decisions[idx][1]):
+            child_in, child_out = fin | add_in, fout | add_out
+            if not child_in & child_out:
+                undecided = pairs - (child_in | child_out).bit_count() // 2
+                heapq.heappush(heap, (-undecided, pre + ((idx, v),), child_in, child_out))
+    return [pre for _, pre, _, _ in sorted(heap)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,53 +290,35 @@ def _cycle_type_reps(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _orbit_system(n: int, perm: Sequence[int]):
-    """Collapse the subset pair system along a permutation; None if no invariant family exists."""
+    """The pair system of the families invariant under perm; None if there are none.
+
+    Its items are the orbits of subsets under perm, each decided through its
+    least member.  An orbit's closure is the union of its members' closures,
+    which is again a union of orbits.
+    """
     t = _tables(n)
-    orbit_of: dict[int, int] = {}
-    orbits: list[tuple[int, ...]] = []
+    claimed = 0
+    decisions = []
     for x in range(1, t.full):
-        if x in orbit_of:
+        if claimed >> x & 1:
             continue
-        members = []
+        # the orbit of x and, through complements, its complementary orbit
+        bits = comp_bits = up = down = comp_up = comp_down = 0
         y = x
-        while y not in orbit_of:
-            orbit_of[y] = len(orbits)
-            members.append(y)
+        while not bits >> y & 1:
+            c = t.full ^ y
+            bits |= 1 << y
+            comp_bits |= 1 << c
+            up |= t.up[y]
+            down |= t.down[y]
+            comp_up |= t.up[c]
+            comp_down |= t.down[c]
             y = _permute_mask(y, perm, n)
-        orbits.append(tuple(members))
-    count = len(orbits)
-    comp = [0] * count
-    bits_of = [0] * count
-    sup = [()] * count
-    sub = [()] * count
-    for oi, members in enumerate(orbits):
-        c = orbit_of[t.comp[members[0]]]
-        if c == oi:
+        if bits & comp_bits:
             return None  # a self-complementary orbit blocks the pair rule
-        comp[oi] = c
-        acc = 0
-        for x in members:
-            acc |= 1 << x
-        bits_of[oi] = acc
-        ups, downs = set(), set()
-        for x in members:
-            for y in t.sup[x]:
-                ups.add(orbit_of[y])
-            for y in t.sub[x]:
-                downs.add(orbit_of[y])
-        ups.discard(oi)
-        downs.discard(oi)
-        sup[oi] = tuple(sorted(ups))
-        sub[oi] = tuple(sorted(downs))
-    seen = set()
-    reps = []
-    for oi in range(count):
-        if oi in seen:
-            continue
-        seen.add(oi)
-        seen.add(comp[oi])
-        reps.append(oi)
-    return count, tuple(comp), tuple(sup), tuple(sub), tuple(bits_of), tuple(reps)
+        claimed |= bits | comp_bits
+        decisions.append((1 << x, ((up, comp_down), (comp_up, down))))
+    return tuple(decisions)
 
 
 def _burnside_nonidentity(n: int, windows: Sequence[tuple[int, int]]) -> list[int]:
@@ -403,13 +332,12 @@ def _burnside_nonidentity(n: int, windows: Sequence[tuple[int, int]]) -> list[in
         system = _orbit_system(n, perm)
         if system is None:
             continue
-        size, comp, sup, sub, bits_of, reps = system
         tally: Counter = Counter()
 
         def on_leaf(bits: int) -> None:
             tally[flags(bits)] += 1
 
-        _dfs(size, comp, sup, sub, bits_of, reps, on_leaf)
+        _dfs(system, on_leaf)
         for qualified, count in tally.items():
             for i, ok in enumerate((True, *qualified)):
                 if ok:
@@ -477,8 +405,6 @@ def enumerate_maximal_families(n: int, up_to_iso: bool = False,
     prefix at a time, in DFS order, so at most one prefix's families are
     held at once.
     """
-    if n < 2:
-        raise ParameterError("enumeration needs n >= 2")
     _check_cap(n, cap_override)
 
     def walk() -> Iterator[int]:

@@ -164,8 +164,8 @@ def test_cli_usage_error_exit_2(capsys):
 
 
 def test_cli_cap_exceeded_exit_2(capsys):
-    code, _, err = run_cli(capsys, "enumerate-maximal", "--n", "9")
-    assert code == 2
+    code, out, err = run_cli(capsys, "enumerate-maximal", "--n", "9")
+    assert (code, out) == (2, "")
     assert "guard" in err
 
 

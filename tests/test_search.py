@@ -1,5 +1,6 @@
 """Enumeration and verification: generator soundness, oracles, theorem checks."""
 
+import hashlib
 import multiprocessing
 import os
 import subprocess
@@ -69,6 +70,33 @@ def test_iso_class_counts():
         assert count_iso_classes(n) == expected
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_iso_class_count_rejects_n_below_two(n):
+    with pytest.raises(ParameterError):
+        count_iso_classes(n)
+    with pytest.raises(ParameterError):
+        list(enumerate_maximal_families(n))
+
+
+def _fixes(bits, image):
+    return sum(1 << image[x] for x in range(len(image)) if bits >> x & 1) == bits
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_orbit_systems_yield_exactly_the_fixed_families(n):
+    families = [f.bits for f in enumerate_maximal_families(n)]
+    for perm, _ in search._cycle_type_reps(n):
+        if perm == tuple(range(n)):
+            continue
+        image = [search._permute_mask(x, perm, n) for x in range(1 << n)]
+        fixed = sorted(bits for bits in families if _fixes(bits, image))
+        system = search._orbit_system(n, perm)
+        leaves = []
+        if system is not None:
+            assert search._dfs(system, leaves.append) == len(leaves)
+        assert sorted(leaves) == fixed, perm
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_up_to_iso_matches_class_count(n):
     reps = list(enumerate_maximal_families(n, up_to_iso=True))
@@ -91,6 +119,19 @@ def test_enumeration_order_is_one_dfs(monkeypatch, n, prefixes):
     assert [f.bits for f in enumerate_maximal_families(n)] == _one_dfs(n)
 
 
+@pytest.mark.parametrize("up_to_iso, count, digest", [
+    (False, 2646, "261a76d2ccb6acbad30f5d1218db23fd8a1092f282ddd7296becf91337df10da"),
+    (True, 30, "702c3a1665115aadc72a2f16bd6dfadce63e6aa10132f985e73a4a8f5a41f226"),
+])
+def test_enumeration_order_is_pinned_n6(up_to_iso, count, digest):
+    h = hashlib.sha256()
+    yielded = 0
+    for fam in enumerate_maximal_families(6, up_to_iso=up_to_iso):
+        h.update(fam.bits.to_bytes(8, "big"))
+        yielded += 1
+    assert (yielded, h.hexdigest()) == (count, digest)
+
+
 def test_up_to_iso_yields_first_member_of_each_class_n6():
     seen, expected = set(), []
     for bits in _one_dfs(6):
@@ -108,10 +149,13 @@ def test_split_prefixes_partition_the_tree(n, target):
     prefixes = search._split_prefixes(n, target)
     assert prefixes == search._split_prefixes(n, target)
     assert len(prefixes) == min(target, MAXIMAL_COUNTS[n])
-    t = search._tables(n)
+    decisions = search._tables(n).decisions
     for prefix in prefixes:
-        st, trail, assign, undo = search._propagator(t.full + 1, t.comp, t.sup, t.sub, t.bit)
-        assert all(assign(x, v, 0) >= 0 for x, v in prefix)
+        fin = fout = 0
+        for idx, v in prefix:
+            add_in, add_out = decisions[idx][1][v]
+            fin, fout = fin | add_in, fout | add_out
+            assert not fin & fout
     as_set = set(prefixes)
     assert len(as_set) == len(prefixes)
     for prefix in prefixes:
