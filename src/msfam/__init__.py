@@ -32,7 +32,7 @@ from .families import (
 from .search import (
     CHECK_LAYER_DOMINANCE, CHECK_REMOVED_LAYER, CHECK_VALUABLE_RIGIDITY,
     DEFAULT_ENUMERATION_CAP, DEFAULT_ORACLE_VERTEX_CAP, LEMMA_CHECKS,
-    VerificationResults, count_iso_classes, enumerate_maximal_families,
+    VerificationResults, count_iso_classes, count_maximal_families, enumerate_maximal_families,
     naive_enumerate_maximal, raw_max_nontrivial, run_verification, uniqueness_condition,
     verify_grid, verify_hm_theorem, verify_layer_dominance, verify_lemma_bundle,
     verify_removed_layer, verify_valuable_rigidity,

@@ -17,6 +17,7 @@ import csv
 import io
 import os
 import sys
+from typing import Callable
 
 from . import fileio, search
 from .coeffs import coeff_table
@@ -27,7 +28,9 @@ from .reporting import (
     TOOL_VERSION, lemma_report_text, theorem_report_text, theorem_reports_csv,
     to_canonical_json,
 )
-from .subsets import build_hm_shadow, build_removed_part, build_star, hm_shadow_valuable
+from .subsets import (
+    build_hm_shadow, build_removed_part, build_star, elements_from_mask, hm_shadow_valuable,
+)
 
 _SET_TARGETS = ("star", "removed-part", "shadow", "shadow-valuable")
 _MULTISET_TARGETS = ("ekr", "hm")
@@ -197,16 +200,41 @@ def _cmd_enumerate(args) -> int:
         }
         _emit(to_canonical_json(payload), args.out)
         return 0
-    # the header needs the count, so a first walk counts (and meets the guard
-    # before anything is written); the second writes each family as it comes
-    count = sum(1 for _ in families())
+    # the header needs the count up front; counting meets the --n guard before
+    # anything is written, and costs a fraction of the walk
+    count_of = search.count_iso_classes if args.up_to_iso else search.count_maximal_families
+    count = count_of(args.n, cap_override=args.cap_override)
+    members_text = _members_text(args.n)
     with _open_out(args.out) as fh:
         fh.write(f"{args.n}\n# {count} maximal intersecting families"
                  f"{' (one per isomorphism class)' if args.up_to_iso else ''}\n")
         for i, fam in enumerate(families()):
-            members = "".join(" ".join(map(str, member)) + "\n" for member in fam.member_sets())
-            fh.write(f"# family {i}\n{members}\n")
+            fh.write(f"# family {i}\n{members_text(fam.bits)}\n")
     return 0
+
+
+def _members_text(n: int) -> Callable[[int], str]:
+    """A family's members as text lines in (size, elements) order, from its bits.
+
+    The proper subsets of [n] are ranked in that order.  A family bitset maps
+    to its rank bitset a byte at a time, and each byte of the rank bitset
+    picks a run of ready-made lines, so no family is sorted or formatted.
+    """
+    full = (1 << n) - 1
+    ranked = sorted(range(1, full), key=lambda x: (x.bit_count(), elements_from_mask(x)))
+    rank = {x: r for r, x in enumerate(ranked)}
+    lines = [" ".join(map(str, elements_from_mask(x))) + "\n" for x in ranked]
+    in_bytes, out_bytes = (full + 8) // 8, (len(ranked) + 7) // 8
+    to_rank = [[sum(1 << rank[x] for b in range(8) if v >> b & 1 and (x := 8 * i + b) in rank)
+                for v in range(256)] for i in range(in_bytes)]
+    runs = [["".join(lines[r] for b in range(8) if v >> b & 1 and (r := 8 * i + b) < len(lines))
+             for v in range(256)] for i in range(out_bytes)]
+
+    def text(bits: int) -> str:
+        ranks = sum(map(list.__getitem__, to_rank, bits.to_bytes(in_bytes, "little")))
+        return "".join(map(list.__getitem__, runs, ranks.to_bytes(out_bytes, "little")))
+
+    return text
 
 
 def _cmd_grid(args) -> int:

@@ -13,28 +13,37 @@ and out are disjoint; there is no trail and nothing to undo.  Every leaf is
 a maximal family and every maximal family appears exactly once.
 
 Verification jobs ride along on a single enumeration pass.  The bound and the
-lemmas see a family only through its layer counts, whether its valuable part
-qualifies for a job's window [q, k] (non-empty with empty total
-intersection), and how many star members of size n-k it holds.  Each leaf
-therefore adds that key to a histogram, and keeps the family bitset only
-under a key that some job marks as interesting (an achiever, a violation or
-a rigidity candidate), which is decided the first time the key is seen.  The
-jobs then run once per distinct key: n=7 has a few hundred keys among its
-1.42M families.  Isomorphism classes are S_n-orbits under relabelling of
-[n].  Their counts come from the orbit-counting lemma: for each cycle type
-the invariant families are enumerated over a pair system of the same shape
-whose items are the orbits of subsets under the permutation, an orbit's
-closure being the union of its members' closures.  Achievers are
-grouped into classes by orbit closure under the adjacent transpositions.
+lemmas see a family only through its key: its layer counts, whether its
+valuable part qualifies for a job's window [q, k] (non-empty with empty total
+intersection, which for an up-set depends on layer k alone), and how many
+star members of size n-k it holds.  The pass counts the keys, and keeps the
+family bitset only under a key that some job marks as interesting (an
+achiever, a violation or a rigidity candidate), decided the first time the
+key is seen.  The jobs then run once per distinct key: n=7 has 240 keys
+among its 1.42M families.  No branch of the subset tree conflicts, so a
+node's completions depend only on its set U of undecided subsets, and the
+key of a family adds up over its members.  The pass therefore carries a
+packed key down the tree and, once at most _MEMO_PAIRS pairs are undecided,
+takes the completions' keys from a memo over U instead of visiting leaves;
+the n=7 tree meets about 1.4k distinct U there.  Counting the families
+alone uses the same memo.  Isomorphism classes are S_n-orbits under
+relabelling of [n].  Their counts come from the orbit-counting lemma: for
+each cycle type the invariant families are enumerated over a pair system
+of the same shape whose items are the orbits of subsets under the
+permutation, an orbit's closure being the union of its members' closures.
+Achievers are grouped into classes by orbit closure under the adjacent
+transpositions.
 
 Work splits across processes by partitioning the decision tree into about 64
-prefixes per worker.  The tree is lopsided, so the prefix with the most
-undecided pairs is always split next; a pool then takes the prefixes one at
-a time, largest first, and the parent merges each result as it arrives.
-With that, the n=7 pass of six jobs takes 5.0 s at two workers against
-9.7 s at one (medians, 2-core Xeon, Python 3.11).  All per-family collections are sorted
-before reporting, and violation lists are cut to their first entries only
-after that sort, so report bytes do not depend on the worker count.
+prefixes per worker, each with its own memo.  The tree is lopsided, so the
+prefix with the most undecided pairs is always split next; a pool then takes
+the prefixes one at a time, largest first, and the parent merges each result
+as it arrives.  With the memo, the n=7 verification of six jobs takes about
+1.9 s at one worker and 1.2 s at two, against 9.7 s and 5.0 s when every
+leaf was evaluated (benchmark medians, 2-core Xeon, Python 3.11).  All
+per-family collections are sorted before reporting, and violation lists are
+cut to their first entries only after that sort, so report bytes do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from .params import Cap, InvariantError, Params, ParameterError, SearchCapError
 from .reporting import LemmaReport, TheoremReport
 from .subsets import (
     SetFamily, canonical_set_family, hm_shadow_layer_size, hm_shadow_valuable,
-    is_intersecting_sf, is_maximal_intersecting_definitional, layer_bitsets,
+    is_intersecting_sf, is_maximal_intersecting_definitional,
     pair_rule_holds, valuable_part,
 )
 # not called here; perfbench/tracer.py and selftest.py address it as msfam.search's attribute
@@ -65,7 +74,8 @@ from .subsets import set_families_isomorphic  # noqa: F401
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP", "DEFAULT_ORACLE_VERTEX_CAP",
-    "enumerate_maximal_families", "naive_enumerate_maximal", "count_iso_classes",
+    "enumerate_maximal_families", "naive_enumerate_maximal", "count_maximal_families",
+    "count_iso_classes",
     "run_verification", "VerificationResults", "verify_hm_theorem",
     "verify_lemma_bundle", "verify_removed_layer", "verify_layer_dominance",
     "verify_valuable_rigidity", "verify_grid", "raw_max_nontrivial",
@@ -76,6 +86,10 @@ DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_ORACLE_VERTEX_CAP = 120
 _VIOLATION_CAP = 1000
 _ENUMERATION_PREFIXES = 256  # the largest holds 5.6% of the n=7 families
+# _key_histogram memoises subtrees of at most this many undecided pairs.  The
+# n=7 verification of six jobs at workers=1 took 3.2, 1.9, 2.1 and 3.2-4.1 s at
+# 2, 3, 4 and 5, and peaked at 22.2, 23.6, 26.5 and 33 MB (2-core Xeon)
+_MEMO_PAIRS = 3
 
 CHECK_REMOVED_LAYER = "removed-layer"
 CHECK_LAYER_DOMINANCE = "layer-dominance"
@@ -97,7 +111,7 @@ def _check_cap(n: int, cap_override: bool) -> None:
 # pair-implication systems
 # ---------------------------------------------------------------------------
 
-_Tables = namedtuple("_Tables", "full up down decisions layers star_layers")
+_Tables = namedtuple("_Tables", "full up down decisions steps")
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +121,8 @@ def _tables(n: int) -> _Tables:
     up[x] is the family bitset of x and its proper supersets short of [n],
     down[x] that of x and its non-empty subsets.  Both are transitively
     closed: a member forces exactly up[x] in, a non-member exactly down[x] out.
+    steps is decisions as _key_histogram walks it: per outcome, the closure
+    taken in and the mask of the subsets it leaves undecided.
     """
     full = (1 << n) - 1
     singles = [1 << e for e in range(n)]
@@ -123,51 +139,208 @@ def _tables(n: int) -> _Tables:
     # one decision per complementary pair: the smaller side, ties by mask value
     reps = sorted((x for x in range(1, full) if side(x) < side(full ^ x)), key=side)
     decisions = tuple((1 << x, ((up[x], down[full ^ x]), (up[full ^ x], down[x]))) for x in reps)
-    layers = layer_bitsets(n)
-    star_layers = tuple(
-        sum(1 << x for x in range(1, full) if x & 1 and x.bit_count() == l)
-        for l in range(n + 1)
-    )
-    return _Tables(full=full, up=tuple(up), down=tuple(down), decisions=decisions,
-                   layers=layers, star_layers=star_layers)
+    proper = (1 << full) - 2
+    steps = tuple((bit, tuple((add_in, proper ^ (add_in | add_out)) for add_in, add_out in outcomes))
+                  for bit, outcomes in decisions)
+    return _Tables(full=full, up=tuple(up), down=tuple(down), decisions=decisions, steps=steps)
 
 
 @lru_cache(maxsize=None)
-def _absent_valuable(n: int, q: int, k: int) -> tuple[int, ...]:
-    """Per element: bitset of subsets with size in [q, k] avoiding that element."""
+def _absent_valuable(n: int, k: int) -> tuple[int, ...]:
+    """Per element: bitset of the k-subsets avoiding that element.
+
+    A maximal family's valuable part for the window [q, k] qualifies (is
+    non-empty with empty total intersection) exactly when every element is
+    avoided by some member with size in [q, k].  Only layer k matters: the
+    family is an up-set and k <= n-1, so a member of size in [q, k] that
+    avoids e lies inside a k-subset avoiding e, which is a member too.
+    """
     full = (1 << n) - 1
-    out = []
-    for e in range(n):
-        mask = 0
-        for x in range(1, full):
-            if not (x >> e) & 1 and q <= x.bit_count() <= k:
-                mask |= 1 << x
-        out.append(mask)
-    return tuple(out)
+    return tuple(sum(1 << x for x in range(1, full) if x.bit_count() == k and not x >> e & 1)
+                 for e in range(n))
 
 
 def _window_flags(n: int, windows: Sequence[tuple[int, int]]) -> Callable[[int], tuple[bool, ...]]:
-    """Per window (q, k), whether a family's valuable part qualifies: non-empty
-    with empty total intersection.  Both hold exactly when every element is
-    avoided by some member with size in [q, k].
-
-    Every window contains the common part [max q, min k], so when that part
-    qualifies all of them do; this covers nearly every family, so it is
-    tested first.
+    """Per window (q, k), whether a maximal family's valuable part qualifies:
+    every element avoided by some k-member (see _absent_valuable).  By the
+    same up-set argument a family that qualifies at k qualifies at every
+    larger k <= n-1, so the ks are tested in increasing order and the first
+    that qualifies settles all windows; usually that is the first test.
     """
-    absents = [_absent_valuable(n, q, k) for q, k in windows]
-    q0 = max((q for q, _ in windows), default=1)
-    k0 = min((k for _, k in windows), default=0)
-    common = _absent_valuable(n, q0, k0) if q0 <= k0 else ()
-    everywhere = (True,) * len(windows)
+    ks = sorted({k for _, k in windows})
+    absents = [_absent_valuable(n, k) for k in ks]
+    settled = [tuple(k >= least for _, k in windows) for least in ks]
+    nowhere = (False,) * len(windows)
 
     def flags(bits: int) -> tuple[bool, ...]:
         band = bits.__and__
-        if common and all(map(band, common)):
-            return everywhere
-        return tuple([all(map(band, absent)) for absent in absents])
+        for absent, outcome in zip(absents, settled):
+            if all(map(band, absent)):
+                return outcome
+        return nowhere
 
     return flags
+
+
+class _KeyCodec:
+    """Leaf keys packed into one int: additive fields below, cover masks above.
+
+    The fields count a family's members on each layer l < n/2 and its star
+    members (those holding element 1) on each removed layer; the pair rule
+    gives the other layers, count[n-l] = C(n, l) - count[l] and, for even n,
+    count[n/2] = C(n, n/2) / 2.  Above the fields sits, per distinct k of the
+    windows, the n-bit mask of the elements some k-member avoids; the window
+    (q, k) qualifies iff that mask is full (see _absent_valuable).  A member
+    x turns key into (key + add[x]) | cov[x], so the key of a disjoint union
+    of member sets is the sum of their fields and the union of their masks.
+    Each field is as wide as its largest possible value, which the
+    constructor checks: the contributions of all subsets together must
+    decode to exactly those maxima.
+    """
+
+    def __init__(self, n: int, windows: tuple, removed: tuple):
+        full = (1 << n) - 1
+        self.n, self.full, self.windows = n, full, windows
+        self.layers = range(1, (n + 1) // 2)
+        maxima = [comb(n, l) for l in self.layers] + [comb(n - 1, s - 1) for s in removed]
+        fields, width = [], 0
+        for most in maxima:
+            fields.append((width, (1 << most.bit_length()) - 1))
+            width += most.bit_length()
+        self.low = (1 << width) - 1  # the additive fields
+        self.layer_fields = fields[:len(self.layers)]
+        self.star_fields = fields[len(self.layers):]
+        ks = dict.fromkeys(k for _, k in windows)
+        self.cover_shift = {k: width + j * n for j, k in enumerate(ks)}
+        self.add, self.cov = [0] * full, [0] * full
+        for x in range(1, full):
+            size = x.bit_count()
+            if size in self.layers:
+                self.add[x] += 1 << self.layer_fields[size - 1][0]
+            for s, (shift, _) in zip(removed, self.star_fields):
+                if x & 1 and size == s:
+                    self.add[x] += 1 << shift
+            if size in self.cover_shift:
+                self.cov[x] = (full ^ x) << self.cover_shift[size]
+        total = sum(self.add)
+        if total > self.low or [total >> s & m for s, m in fields] != maxima:
+            raise InvariantError(f"a packed key field at n={n} is too narrow for its count")
+
+    def decode(self, key: int) -> tuple:
+        """The key as (layer counts 0..n, window flags, star counts at the removed layers)."""
+        n, full = self.n, self.full
+        counts = [0] * (n + 1)
+        for l, (shift, mask) in zip(self.layers, self.layer_fields):
+            counts[l] = key >> shift & mask
+            counts[n - l] = comb(n, l) - counts[l]
+        if n % 2 == 0:
+            counts[n // 2] = comb(n, n // 2) // 2
+        flags = tuple(key >> self.cover_shift[k] & full == full for _, k in self.windows)
+        stars = tuple(key >> shift & mask for shift, mask in self.star_fields)
+        return tuple(counts), flags, stars
+
+
+@lru_cache(maxsize=None)
+def _key_codec(n: int, windows: tuple, removed: tuple) -> _KeyCodec:
+    return _KeyCodec(n, windows, removed)
+
+
+def _key_histogram(n: int, codec: _KeyCodec | None, prefix=(),
+                   keep: Callable[[int], bool] = lambda key: False
+                   ) -> tuple[Counter, dict[int, list[int]]]:
+    """The packed keys of the maximal families on [n] below prefix, counted,
+    and the bits of the families under keys that keep marks.  With codec
+    None every key is 0, so the histogram holds just the leaf count.
+
+    In the subset system no branch conflicts, so a node's completions depend
+    only on its undecided set U: every leaf below it is in | T for a
+    completion T of U.  The walk carries the node's key down the tree.  At a
+    node with at most _MEMO_PAIRS undecided pairs it stops: the completions'
+    keys, counted, are built once per U (leaf by leaf, at most
+    2**_MEMO_PAIRS leaves), and the node only counts its own key under U.
+    The n=7 tree meets about 187k such nodes but only about 15k distinct
+    (key, U) over about 1.4k distinct U.  A (key, U) that yields a kept key
+    on first sight is walked leaf by leaf wherever it is met, to collect the
+    families.  Finally, under each U, every node key joined with every
+    completion key gets the product of their counts.
+    """
+    t = _tables(n)
+    steps = t.steps
+    if codec is None:
+        low = 0
+
+        def plus(key: int, new: int) -> int:
+            return 0
+    else:
+        low, add, cov = codec.low, codec.add, codec.cov
+
+        def plus(key: int, new: int) -> int:
+            while new:
+                bit = new & -new
+                x = bit.bit_length() - 1
+                key = (key + add[x]) | cov[x]
+                new ^= bit
+            return key
+
+    def leaves(idx: int, undecided: int, fam: int, key: int, on_leaf) -> None:
+        if not undecided:
+            on_leaf(fam, key)
+            return
+        while not steps[idx][0] & undecided:
+            idx += 1
+        for add_in, rest in steps[idx][1]:
+            new = add_in & undecided
+            leaves(idx + 1, undecided & rest, fam | new, plus(key, new), on_leaf)
+
+    def join(key: int, part: int) -> int:  # a node's key and one of its completions'
+        return ((key | part) & ~low) | ((key + part) & low)
+
+    # U -> (its completions' keys, the node keys met with it, those of them
+    # whose leaves include kept families), each key with its count
+    memo: dict[int, tuple[Counter, dict, set]] = {}
+    kept: dict[int, list[int]] = defaultdict(list)
+
+    def collect(fam: int, key: int) -> None:
+        if keep(key):
+            kept[key].append(fam)
+
+    def rec(idx: int, undecided: int, fam: int, key: int) -> None:
+        if undecided.bit_count() <= 2 * _MEMO_PAIRS:
+            entry = memo.get(undecided)
+            if entry is None:
+                below: Counter = Counter()
+                leaves(idx, undecided, 0, 0, lambda _, k: below.update((k,)))
+                entry = memo[undecided] = (below, {}, set())
+            below, met, walk = entry
+            times = met.get(key)
+            if times is None:
+                met[key] = 1
+                if any(keep(join(key, k)) for k in below):
+                    walk.add(key)
+            else:
+                met[key] = times + 1
+            if key in walk:
+                leaves(idx, undecided, fam, key, collect)
+            return
+        while not steps[idx][0] & undecided:
+            idx += 1
+        for add_in, rest in steps[idx][1]:
+            new = add_in & undecided
+            rec(idx + 1, undecided & rest, fam | new, plus(key, new))
+
+    fin = fout = 0
+    for idx, v in prefix:
+        add_in, add_out = t.decisions[idx][1][v]
+        fin |= add_in
+        fout |= add_out
+    rec(0, ((1 << t.full) - 2) & ~(fin | fout), fin, plus(0, fin))
+    del rec, leaves  # both refer to themselves; break the cycles so the tables go now
+    hist: Counter = Counter()
+    for below, met, _ in memo.values():
+        for key, times in met.items():
+            for k, count in below.items():
+                hist[join(key, k)] += times * count
+    return hist, kept
 
 
 def _dfs(decisions, on_leaf, prefix=()) -> int:
@@ -345,10 +518,15 @@ def _burnside_nonidentity(n: int, windows: Sequence[tuple[int, int]]) -> list[in
     return totals
 
 
+def count_maximal_families(n: int, cap_override: bool = False) -> int:
+    """Number of maximal intersecting families on [n], counted over undecided sets."""
+    _check_cap(n, cap_override)
+    return _key_histogram(n, None)[0][0]
+
+
 def count_iso_classes(n: int, cap_override: bool = False) -> int:
     """Number of isomorphism classes of maximal intersecting families on [n]."""
-    _check_cap(n, cap_override)
-    identity = _dfs_subsets(n, lambda bits: None)
+    identity = count_maximal_families(n, cap_override)
     return _orbit_count(n, identity + _burnside_nonidentity(n, ())[0])
 
 
@@ -538,36 +716,28 @@ def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple]
     return found
 
 
-def _histogram_leaf(n: int, jobs: Sequence[tuple[str, Params]], hist: Counter, kept: dict):
-    """The leaf callback of a pass: count each family under its key in hist,
-    and append its bits to kept[key] when some job finds the key interesting."""
-    t = _tables(n)
-    layout = _key_layout(jobs)
-    windows, removed = layout
-    flags = _window_flags(n, windows)
-    layer_masks = t.layers
-    star_masks = [t.star_layers[l] for l in removed]
-
-    def on_leaf(bits: int) -> None:
-        key = (tuple([(bits & m).bit_count() for m in layer_masks]), flags(bits),
-               tuple([(bits & m).bit_count() for m in star_masks]))
-        if key in hist:
-            hist[key] += 1
-        else:
-            hist[key] = 1
-            if any(_findings(job, key, layout) for job in jobs):
-                kept[key] = []
-        if key in kept:
-            kept[key].append(bits)
-
-    return on_leaf
-
-
 def _pass_worker(payload) -> tuple[Counter, dict[tuple, list[int]]]:
+    """The key histogram below one prefix and the families under interesting
+    keys, both keyed by decoded key; whether a key is interesting is decided
+    the first time it is seen."""
     n, jobs, prefix = payload
+    layout = _key_layout(jobs)
+    codec = _key_codec(n, *layout)
+    verdicts: dict[int, bool] = {}
+
+    def keep(key: int) -> bool:
+        if key not in verdicts:
+            decoded = codec.decode(key)
+            verdicts[key] = any(_findings(job, decoded, layout) for job in jobs)
+        return verdicts[key]
+
+    packed, packed_kept = _key_histogram(n, codec, prefix, keep)
     hist: Counter = Counter()
     kept: dict[tuple, list[int]] = {}
-    _dfs_subsets(n, _histogram_leaf(n, jobs, hist, kept), prefix)
+    for key, count in packed.items():
+        hist[codec.decode(key)] += count
+    for key, fams in packed_kept.items():
+        kept.setdefault(codec.decode(key), []).extend(fams)
     return hist, kept
 
 

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import hashlib
 import json
 import os
 
@@ -167,6 +168,28 @@ def test_cli_cap_exceeded_exit_2(capsys):
     code, out, err = run_cli(capsys, "enumerate-maximal", "--n", "9")
     assert (code, out) == (2, "")
     assert "guard" in err
+
+
+def test_cli_cap_exceeded_up_to_iso_exit_2(capsys):
+    code, out, err = run_cli(capsys, "enumerate-maximal", "--n", "9", "--up-to-iso")
+    assert (code, out) == (2, "")
+    assert "guard" in err
+
+
+@pytest.mark.parametrize("iso, digest", [
+    ((), "816996b4ac87ca1272ae727291f9ab2372950512597dd0e9a49aef51b5ce9f0d"),
+    (("--up-to-iso",), "53895ddbb2d5861fbc585251d8cfcaef7edcf8bcc0d3207c749171ccffed39af"),
+])
+def test_cli_enumerate_text_bytes_pinned_n6(capsys, iso, digest):
+    code, out, _ = run_cli(capsys, "enumerate-maximal", "--n", "6", *iso)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # each family block lists its members in (size, elements) order
+    blocks = out.split("# family ")[1:]
+    assert len(blocks) == (30 if iso else 2646)
+    lines = blocks[0].splitlines()[1:-1]
+    first = SetFamily.from_sets(6, [map(int, line.split()) for line in lines])
+    assert lines == [" ".join(map(str, m)) for m in first.member_sets()]
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -14,8 +14,8 @@ import pytest
 from msfam import (
     CHECK_LAYER_DOMINANCE, CHECK_REMOVED_LAYER, CHECK_VALUABLE_RIGIDITY, LEMMA_CHECKS,
     InvariantError, MultisetFamily, ParameterError, Params, SearchCapError, SetFamily, UNBOUNDED,
-    canonical_set_family, coeff, count_iso_classes, enumerate_maximal_families,
-    hm_shadow_layer_size, hm_size,
+    build_hm_shadow, build_star, canonical_set_family, coeff, count_iso_classes,
+    count_maximal_families, enumerate_maximal_families, hm_shadow_layer_size, hm_size,
     is_maximal_intersecting_definitional, is_maximal_intersecting_sf, is_trivial,
     naive_enumerate_maximal, preimage_family, raw_max_nontrivial, run_verification,
     uniqueness_condition, valuable_part,
@@ -388,6 +388,108 @@ def test_shared_pass_counts_each_window_by_definition():
     cells = [Params(6, 4, 2), Params(6, 4, UNBOUNDED), Params(6, 5, UNBOUNDED), Params(6, 4, 3)]
     reports = run_verification(6, theorem_params=cells).theorem_reports
     assert [r.families_checked for r in reports] == [len(_qualifying(6, p)) for p in cells]
+
+
+def _window_part(fam, q, k):
+    """The members with size in [q, k]."""
+    layers = layer_bitsets(fam.n)
+    return SetFamily(n=fam.n, bits=fam.bits & sum(layers[q:k + 1]))
+
+
+def _qualifies(part):
+    """Non-empty with empty total intersection."""
+    core = (1 << part.n) - 1
+    for mask in part.members():
+        core &= mask
+    return len(part) > 0 and core == 0
+
+
+def _packed_key(codec, bits):
+    """A family's packed key, one member at a time from the codec's weights."""
+    key = 0
+    for x in SetFamily(n=codec.n, bits=bits).members():
+        key = (key + codec.add[x]) | codec.cov[x]
+    return key
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_window_flags_need_only_layer_k(n):
+    windows = tuple((q, k) for k in range(1, n) for q in range(1, k + 1))
+    by_cap = {(p.q, p.k): p for k in range(1, n) for m in (1, 2, 3, UNBOUNDED)
+              for p in [Params(n, k, m)]}
+    flags = search._window_flags(n, windows)
+    codec = search._KeyCodec(n, windows, ())
+    for fam in enumerate_maximal_families(n):
+        expected = []
+        for q, k in windows:
+            part = _window_part(fam, q, k)
+            if (q, k) in by_cap:
+                assert valuable_part(fam, by_cap[q, k]) == part
+            expected.append(_qualifies(part))
+        expected = tuple(expected)
+        assert flags(fam.bits) == expected, fam.bits
+        assert codec.decode(_packed_key(codec, fam.bits))[1] == expected, fam.bits
+
+
+def _key_by_definition(fam, windows, removed):
+    """(layer counts 0..n, window flags, star counts at the removed layers)."""
+    sizes = [len(s) for s in fam.member_sets()]
+    return (tuple(sizes.count(l) for l in range(fam.n + 1)),
+            tuple(_qualifies(_window_part(fam, q, k)) for q, k in windows),
+            tuple(sum(1 for s in fam.member_sets() if len(s) == r and 1 in s) for r in removed))
+
+
+def _leaf_by_leaf(n, jobs):
+    """The pass's histogram and kept families, one family at a time from the definitions."""
+    windows, removed = search._key_layout(jobs)
+    hist, kept = Counter(), {}
+    for fam in enumerate_maximal_families(n):
+        key = _key_by_definition(fam, windows, removed)
+        hist[key] += 1
+        if any(search._findings(job, key, (windows, removed)) for job in jobs):
+            kept.setdefault(key, []).append(fam.bits)
+    return hist, {key: sorted(fams) for key, fams in kept.items()}
+
+
+def _all_cells(n):
+    return [(kind, p) for k in range(2, n) for m in (1, 2, 3, UNBOUNDED)
+            for p in [Params(n, k, m)] if n >= k + p.q
+            for kind in (search.THEOREM, search.LEMMAS)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pass_equals_leaf_by_leaf_histogram(n):
+    jobs = _all_cells(n)
+    assert len(jobs) >= 8
+    hist, kept = _leaf_by_leaf(n, jobs)
+    assert sum(hist.values()) == MAXIMAL_COUNTS[n]
+    for workers in (1, 2, 3):
+        got_hist, got_kept = search._run_pass(n, jobs, workers)
+        assert got_hist == hist, workers
+        assert {key: sorted(fams) for key, fams in got_kept.items()} == kept, workers
+
+
+def test_key_codec_fields_fit_at_n9():
+    # n=9 lies past the enumeration guard; building the weights enumerates nothing
+    n = 9
+    windows, removed = search._key_layout(_all_cells(n))
+    codec = search._KeyCodec(n, windows, removed)
+    # every subset at once: each field at its maximum, nothing spilling into the next
+    everything = (1 << ((1 << n) - 1)) - 2
+    counts, flags, stars = codec.decode(_packed_key(codec, everything))
+    assert counts[1:(n + 1) // 2] == tuple(comb(n, l) for l in range(1, (n + 1) // 2))
+    assert stars == tuple(comb(n - 1, r - 1) for r in removed)
+    assert all(flags)
+    for p in (Params(9, 4, 2), Params(9, 5, UNBOUNDED), Params(9, 7, 3)):
+        for fam in (build_star(n), build_hm_shadow(p)):
+            assert is_maximal_intersecting_sf(fam)
+            assert codec.decode(_packed_key(codec, fam.bits)) == \
+                _key_by_definition(fam, windows, removed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_count_maximal_families_from_the_memo(n):
+    assert count_maximal_families(n) == {**MAXIMAL_COUNTS, 7: 1422564}[n]
 
 
 def _patch_constants(monkeypatch, change):
