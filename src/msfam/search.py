@@ -35,12 +35,15 @@ Achievers are grouped into classes by orbit closure under the adjacent
 transpositions.
 
 Work splits across processes by partitioning the decision tree into about 64
-prefixes per worker, each with its own memo.  The tree is lopsided, so the
-prefix with the most undecided pairs is always split next; a pool then takes
-the prefixes one at a time, largest first, and the parent merges each result
-as it arrives.  With the memo, the n=7 verification of six jobs takes about
-1.9 s at one worker and 1.2 s at two, against 9.7 s and 5.0 s when every
-leaf was evaluated (benchmark medians, 2-core Xeon, Python 3.11).  All
+prefixes per worker.  The tree is lopsided, so the prefix with the most
+undecided pairs is always split next.  Each worker process builds the pass
+state once (the key codec, the verdicts on keys and the memo over U with its
+verdicts) and keeps it for every prefix it is given, so the prefixes
+together cost about one walk of the whole tree.  The orbit counting runs in
+the same pool, one task per non-identity cycle type, ahead of the prefixes,
+which follow largest first; the parent sums the totals and merges each
+result as it arrives.  The n=7 verification of six jobs takes about 1.1 s at
+one worker and 0.7 s at two (benchmark medians, 2-core Xeon, Python 3.11).  All
 per-family collections are sorted before reporting, and violation lists are
 cut to their first entries only after that sort, so report bytes do not
 depend on the worker count.
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb, factorial
 from multiprocessing import get_context
-from operator import or_
+from operator import add, or_
 from typing import Callable, Iterator, Sequence
 
 from .coeffs import coeff_table
@@ -86,7 +89,7 @@ DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_ORACLE_VERTEX_CAP = 120
 _VIOLATION_CAP = 1000
 _ENUMERATION_PREFIXES = 256  # the largest holds 5.6% of the n=7 families
-# _key_histogram memoises subtrees of at most this many undecided pairs.  The
+# _KeyWalk memoises subtrees of at most this many undecided pairs.  The
 # n=7 verification of six jobs at workers=1 took 3.2, 1.9, 2.1 and 3.2-4.1 s at
 # 2, 3, 4 and 5, and peaked at 22.2, 23.6, 26.5 and 33 MB (2-core Xeon)
 _MEMO_PAIRS = 3
@@ -121,7 +124,7 @@ def _tables(n: int) -> _Tables:
     up[x] is the family bitset of x and its proper supersets short of [n],
     down[x] that of x and its non-empty subsets.  Both are transitively
     closed: a member forces exactly up[x] in, a non-member exactly down[x] out.
-    steps is decisions as _key_histogram walks it: per outcome, the closure
+    steps is decisions as _KeyWalk walks them: per outcome, the closure
     taken in and the mask of the subsets it leaves undecided.
     """
     full = (1 << n) - 1
@@ -245,102 +248,123 @@ def _key_codec(n: int, windows: tuple, removed: tuple) -> _KeyCodec:
     return _KeyCodec(n, windows, removed)
 
 
-def _key_histogram(n: int, codec: _KeyCodec | None, prefix=(),
-                   keep: Callable[[int], bool] = lambda key: False
-                   ) -> tuple[Counter, dict[int, list[int]]]:
-    """The packed keys of the maximal families on [n] below prefix, counted,
+class _KeyWalk:
+    """The packed keys of the maximal families on [n] below a prefix, counted,
     and the bits of the families under keys that keep marks.  With codec
     None every key is 0, so the histogram holds just the leaf count.
 
     In the subset system no branch conflicts, so a node's completions depend
     only on its undecided set U: every leaf below it is in | T for a
-    completion T of U.  The walk carries the node's key down the tree.  At a
-    node with at most _MEMO_PAIRS undecided pairs it stops: the completions'
-    keys, counted, are built once per U (leaf by leaf, at most
-    2**_MEMO_PAIRS leaves), and the node only counts its own key under U.
-    The n=7 tree meets about 187k such nodes but only about 15k distinct
-    (key, U) over about 1.4k distinct U.  A (key, U) that yields a kept key
-    on first sight is walked leaf by leaf wherever it is met, to collect the
-    families.  Finally, under each U, every node key joined with every
-    completion key gets the product of their counts.
+    completion T of U.  The walk carries the node's key down the tree and
+    adds to it the key of the members each decision takes in; those member
+    sets are few (588 at n=7), so their keys are cached.  At a node with at
+    most _MEMO_PAIRS undecided pairs it stops: the completions' keys,
+    counted, are built once per U (leaf by leaf, at most 2**_MEMO_PAIRS
+    leaves), and the node only counts its own key under U.  The n=7 tree
+    meets about 187k such nodes but only about 15k distinct (key, U) over
+    about 1.4k distinct U.  A (key, U) that yields a kept key is walked leaf
+    by leaf wherever it is met, to collect the families.  Finally, under
+    each U, every node key joined with every completion key gets the product
+    of their counts.
+
+    The memo over U, the verdicts per (key, U) and the cached keys hold for
+    the whole tree, so one walk serves every prefix it is given, in any
+    order; a call owns only its node keys per U and its kept families.
     """
-    t = _tables(n)
-    steps = t.steps
-    if codec is None:
-        low = 0
 
-        def plus(key: int, new: int) -> int:
-            return 0
-    else:
-        low, add, cov = codec.low, codec.add, codec.cov
+    def __init__(self, n: int, codec: _KeyCodec | None = None,
+                 keep: Callable[[int], bool] = lambda key: False):
+        self.tables, self.codec, self.keep = _tables(n), codec, keep
+        # U -> (its completions' keys, counted; per node key met with U,
+        # whether the leaves below include kept families)
+        self.memo: dict[int, tuple[Counter, dict[int, bool]]] = {}
+        # a member set taken in at once -> its key as (cover masks, fields)
+        self.deltas: dict[int, tuple[int, int]] = {}
 
-        def plus(key: int, new: int) -> int:
+    def _delta(self, new: int) -> tuple[int, int]:
+        masks = fields = 0
+        if self.codec is not None:
+            add, cov = self.codec.add, self.codec.cov
             while new:
                 bit = new & -new
                 x = bit.bit_length() - 1
-                key = (key + add[x]) | cov[x]
+                masks |= cov[x]
+                fields += add[x]
                 new ^= bit
-            return key
+        return masks, fields
 
-    def leaves(idx: int, undecided: int, fam: int, key: int, on_leaf) -> None:
-        if not undecided:
-            on_leaf(fam, key)
-            return
-        while not steps[idx][0] & undecided:
-            idx += 1
-        for add_in, rest in steps[idx][1]:
-            new = add_in & undecided
-            leaves(idx + 1, undecided & rest, fam | new, plus(key, new), on_leaf)
+    def histogram(self, prefix=()) -> tuple[Counter, dict[int, list[int]]]:
+        t = self.tables
+        steps, memo, deltas, keep, delta = t.steps, self.memo, self.deltas, self.keep, self._delta
+        low = 0 if self.codec is None else self.codec.low
+        limit = 2 * _MEMO_PAIRS
 
-    def join(key: int, part: int) -> int:  # a node's key and one of its completions'
-        return ((key | part) & ~low) | ((key + part) & low)
+        def plus(key: int, new: int) -> int:
+            # the cover masks are ORed in; the fields add without carrying
+            # out of their widths, which the codec checked
+            masks, fields = deltas.get(new) or deltas.setdefault(new, delta(new))
+            return (key | masks) + fields
 
-    # U -> (its completions' keys, the node keys met with it, those of them
-    # whose leaves include kept families), each key with its count
-    memo: dict[int, tuple[Counter, dict, set]] = {}
-    kept: dict[int, list[int]] = defaultdict(list)
+        def join(key: int, part: int) -> int:  # a node's key and one of its completions'
+            return ((key | part) & ~low) | ((key + part) & low)
 
-    def collect(fam: int, key: int) -> None:
-        if keep(key):
-            kept[key].append(fam)
+        def leaves(idx: int, undecided: int, fam: int, key: int, on_leaf) -> None:
+            if not undecided:
+                on_leaf(fam, key)
+                return
+            while not steps[idx][0] & undecided:
+                idx += 1
+            for add_in, rest in steps[idx][1]:
+                new = add_in & undecided
+                leaves(idx + 1, undecided & rest, fam | new, plus(key, new), on_leaf)
 
-    def rec(idx: int, undecided: int, fam: int, key: int) -> None:
-        if undecided.bit_count() <= 2 * _MEMO_PAIRS:
-            entry = memo.get(undecided)
-            if entry is None:
-                below: Counter = Counter()
-                leaves(idx, undecided, 0, 0, lambda _, k: below.update((k,)))
-                entry = memo[undecided] = (below, {}, set())
-            below, met, walk = entry
-            times = met.get(key)
-            if times is None:
-                met[key] = 1
-                if any(keep(join(key, k)) for k in below):
-                    walk.add(key)
-            else:
-                met[key] = times + 1
-            if key in walk:
-                leaves(idx, undecided, fam, key, collect)
-            return
-        while not steps[idx][0] & undecided:
-            idx += 1
-        for add_in, rest in steps[idx][1]:
-            new = add_in & undecided
-            rec(idx + 1, undecided & rest, fam | new, plus(key, new))
+        met: dict[int, dict[int, int]] = {}  # U -> the node keys met with it, counted
+        kept: dict[int, list[int]] = defaultdict(list)
 
-    fin = fout = 0
-    for idx, v in prefix:
-        add_in, add_out = t.decisions[idx][1][v]
-        fin |= add_in
-        fout |= add_out
-    rec(0, ((1 << t.full) - 2) & ~(fin | fout), fin, plus(0, fin))
-    del rec, leaves  # both refer to themselves; break the cycles so the tables go now
-    hist: Counter = Counter()
-    for below, met, _ in memo.values():
-        for key, times in met.items():
-            for k, count in below.items():
-                hist[join(key, k)] += times * count
-    return hist, kept
+        def collect(fam: int, key: int) -> None:
+            if keep(key):
+                kept[key].append(fam)
+
+        def rec(idx: int, undecided: int, fam: int, key: int) -> None:
+            if undecided.bit_count() <= limit:
+                entry = memo.get(undecided)
+                if entry is None:
+                    below: Counter = Counter()
+                    leaves(idx, undecided, 0, 0, lambda _, k: below.update((k,)))
+                    entry = memo[undecided] = (below, {})
+                below, walks = entry
+                walk = walks.get(key)
+                if walk is None:
+                    walk = walks[key] = any(keep(join(key, k)) for k in below)
+                seen = met.get(undecided)
+                if seen is None:
+                    met[undecided] = {key: 1}
+                else:
+                    seen[key] = seen.get(key, 0) + 1
+                if walk:
+                    leaves(idx, undecided, fam, key, collect)
+                return
+            while not steps[idx][0] & undecided:
+                idx += 1
+            for add_in, rest in steps[idx][1]:
+                new = add_in & undecided
+                masks, fields = deltas.get(new) or deltas.setdefault(new, delta(new))  # plus, inlined
+                rec(idx + 1, undecided & rest, fam | new, (key | masks) + fields)
+
+        fin = fout = 0
+        for idx, v in prefix:
+            add_in, add_out = t.decisions[idx][1][v]
+            fin |= add_in
+            fout |= add_out
+        rec(0, ((1 << t.full) - 2) & ~(fin | fout), fin, plus(0, fin))
+        del rec, leaves  # both refer to themselves; break the cycles so this call's state goes now
+        hist: Counter = Counter()
+        for undecided, seen in met.items():
+            below = memo[undecided][0]
+            for key, times in seen.items():
+                for k, count in below.items():
+                    hist[join(key, k)] += times * count
+        return hist, kept
 
 
 def _dfs(decisions, on_leaf, prefix=()) -> int:
@@ -494,34 +518,49 @@ def _orbit_system(n: int, perm: Sequence[int]):
     return tuple(decisions)
 
 
+def _nonidentity_types(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """The non-identity cycle types as (permutation, class size), those with
+    the most cycles first; the transposition, whose invariant families are
+    by far the most, leads."""
+    return [(perm, size) for perm, size in reversed(_cycle_type_reps(n))
+            if any(perm[i] != i for i in range(n))]
+
+
+def _cycle_type_totals(n: int, windows: Sequence[tuple[int, int]],
+                       perm: Sequence[int], class_size: int) -> list[int]:
+    """class_size times the number of families invariant under perm: first
+    all of them, then those qualifying for each window."""
+    totals = [0] * (1 + len(windows))
+    system = _orbit_system(n, perm)
+    if system is None:
+        return totals
+    flags = _window_flags(n, windows)
+    tally: Counter = Counter()
+
+    def on_leaf(bits: int) -> None:
+        tally[flags(bits)] += 1
+
+    _dfs(system, on_leaf)
+    for qualified, count in tally.items():
+        for i, ok in enumerate((True, *qualified)):
+            if ok:
+                totals[i] += class_size * count
+    return totals
+
+
 def _burnside_nonidentity(n: int, windows: Sequence[tuple[int, int]]) -> list[int]:
     """Sum over non-identity cycle types of class_size * invariant-family count:
     first over all invariant families, then over those qualifying for each window."""
-    flags = _window_flags(n, windows)
     totals = [0] * (1 + len(windows))
-    for perm, class_size in _cycle_type_reps(n):
-        if all(perm[i] == i for i in range(n)):
-            continue
-        system = _orbit_system(n, perm)
-        if system is None:
-            continue
-        tally: Counter = Counter()
-
-        def on_leaf(bits: int) -> None:
-            tally[flags(bits)] += 1
-
-        _dfs(system, on_leaf)
-        for qualified, count in tally.items():
-            for i, ok in enumerate((True, *qualified)):
-                if ok:
-                    totals[i] += class_size * count
+    for perm, class_size in _nonidentity_types(n):
+        totals = list(map(add, totals, _cycle_type_totals(n, windows, perm, class_size)))
     return totals
 
 
 def count_maximal_families(n: int, cap_override: bool = False) -> int:
     """Number of maximal intersecting families on [n], counted over undecided sets."""
     _check_cap(n, cap_override)
-    return _key_histogram(n, None)[0][0]
+    return _KeyWalk(n).histogram()[0][0]
 
 
 def count_iso_classes(n: int, cap_override: bool = False) -> int:
@@ -716,52 +755,98 @@ def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple]
     return found
 
 
-def _pass_worker(payload) -> tuple[Counter, dict[tuple, list[int]]]:
-    """The key histogram below one prefix and the families under interesting
-    keys, both keyed by decoded key; whether a key is interesting is decided
-    the first time it is seen."""
-    n, jobs, prefix = payload
-    layout = _key_layout(jobs)
-    codec = _key_codec(n, *layout)
-    verdicts: dict[int, bool] = {}
+class _Pass:
+    """One process's share of an enumeration pass over jobs: the key codec,
+    whether each key is interesting (decided the first time it is seen) and
+    a key walk, all kept across the prefixes the process is given.  Calling
+    it with a prefix gives the key histogram below that prefix and the
+    families under interesting keys, both keyed by decoded key.
+    """
 
-    def keep(key: int) -> bool:
-        if key not in verdicts:
-            decoded = codec.decode(key)
-            verdicts[key] = any(_findings(job, decoded, layout) for job in jobs)
-        return verdicts[key]
+    def __init__(self, n: int, jobs: Sequence[tuple[str, Params]]):
+        self.n, self.jobs = n, tuple(jobs)
+        self.layout = _key_layout(jobs)
+        self.codec = _key_codec(n, *self.layout)
+        self.decoded: dict[int, tuple] = {}
+        self.verdicts: dict[int, bool] = {}
+        self.walk = _KeyWalk(n, self.codec, self.keep)
 
-    packed, packed_kept = _key_histogram(n, codec, prefix, keep)
-    hist: Counter = Counter()
-    kept: dict[tuple, list[int]] = {}
-    for key, count in packed.items():
-        hist[codec.decode(key)] += count
-    for key, fams in packed_kept.items():
-        kept.setdefault(codec.decode(key), []).extend(fams)
-    return hist, kept
+    def decode(self, key: int) -> tuple:
+        decoded = self.decoded.get(key)
+        if decoded is None:
+            decoded = self.decoded[key] = self.codec.decode(key)
+        return decoded
+
+    def keep(self, key: int) -> bool:
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            decoded = self.decode(key)
+            verdict = self.verdicts[key] = any(
+                _findings(job, decoded, self.layout) for job in self.jobs)
+        return verdict
+
+    def __call__(self, prefix=()) -> tuple[Counter, dict[tuple, list[int]]]:
+        packed, packed_kept = self.walk.histogram(prefix)
+        hist: Counter = Counter()
+        kept: dict[tuple, list[int]] = {}
+        for key, count in packed.items():
+            hist[self.decode(key)] += count
+        for key, fams in packed_kept.items():
+            kept.setdefault(self.decode(key), []).extend(fams)
+        return hist, kept
+
+
+_worker_pass: _Pass | None = None  # a pool worker's pass state, built by _start_worker
+
+
+def _start_worker(n: int, jobs: tuple) -> None:
+    global _worker_pass
+    _worker_pass = _Pass(n, jobs)
+
+
+def _pool_task(task: tuple):
+    """One task of a pooled pass, run in a worker: ("prefix", prefix) gives
+    the pass below that prefix, ("orbits", perm, class_size) the weighted
+    invariant-family totals of one non-identity cycle type."""
+    if task[0] == "orbits":
+        return _cycle_type_totals(_worker_pass.n, _worker_pass.layout[0], *task[1:])
+    return _worker_pass(task[1])
 
 
 def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
-              ) -> tuple[Counter, dict[tuple, list[int]]]:
-    """One enumeration pass: the key histogram of the maximal families on [n]
-    and the bits of the families under interesting keys.
+              ) -> tuple[Counter, dict[tuple, list[int]], list[int]]:
+    """One enumeration pass: the key histogram of the maximal families on [n],
+    the bits of the families under interesting keys, and the orbit-counting
+    totals over the non-identity cycle types (see _burnside_nonidentity;
+    empty when the jobs have no windows).
 
-    With several workers the tree is split into about 64 prefixes per worker,
-    handed out one at a time, largest first, and each result is merged as
-    it arrives, so the parent holds one result at a time.
+    With several workers each worker process builds one _Pass and keeps it
+    for the pool's lifetime.  The tree is split into about 64 prefixes per
+    worker, and each non-identity cycle type is one more task; the cycle
+    types go first, the transposition leading as the largest single task,
+    then the prefixes largest first, one task at a time.  Each result is
+    merged as it arrives, so the parent holds one result at a time.
     """
+    windows = _key_layout(jobs)[0]
     if workers == 1:
-        return _pass_worker((n, jobs, ()))
-    prefixes = _split_prefixes(n, 64 * workers)
+        hist, kept = _Pass(n, jobs)()
+        return hist, kept, _burnside_nonidentity(n, windows) if windows else []
+    tasks = [("orbits", perm, size) for perm, size in _nonidentity_types(n)] if windows else []
+    tasks += [("prefix", prefix) for prefix in _split_prefixes(n, 64 * workers)]
     hist: Counter = Counter()
     kept: dict[tuple, list[int]] = {}
-    with get_context().Pool(processes=min(workers, len(prefixes))) as pool:
-        tasks = [(n, tuple(jobs), prefix) for prefix in prefixes]
-        for sub_hist, sub_kept in pool.imap(_pass_worker, tasks, chunksize=1):
+    nonidentity = [0] * (1 + len(windows)) if windows else []
+    with get_context().Pool(processes=min(workers, len(tasks)), initializer=_start_worker,
+                            initargs=(n, tuple(jobs))) as pool:
+        for task, result in zip(tasks, pool.imap(_pool_task, tasks, chunksize=1)):
+            if task[0] == "orbits":
+                nonidentity = list(map(add, nonidentity, result))
+                continue
+            sub_hist, sub_kept = result
             hist.update(sub_hist)
             for key, fams in sub_kept.items():
                 kept.setdefault(key, []).extend(fams)
-    return hist, kept
+    return hist, kept, nonidentity
 
 
 def _tally(job: tuple[str, Params], hist: Counter, kept: dict, layout: tuple
@@ -936,13 +1021,12 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
             _validate_verify_params(p, check)
             jobs.append((kind, p))
 
-    hist, kept = _run_pass(n, jobs, workers)
+    # isomorphism classes of qualifying families per distinct window come
+    # from orbit counting: nonidentity holds the non-identity cycle types' totals
+    hist, kept, nonidentity = _run_pass(n, jobs, workers)
     families_total = sum(hist.values())
-
-    # isomorphism classes of qualifying families per distinct window, via orbit counting
     layout = _key_layout(jobs)
     windows = layout[0]
-    nonidentity = _burnside_nonidentity(n, windows) if windows else []
 
     runtime_ms = int((time.monotonic() - started) * 1000) if timing else None
 

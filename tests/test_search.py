@@ -375,6 +375,20 @@ def test_worker_determinism_small():
     assert blob(1) == blob(2) == blob(3) == blob(4)
 
 
+def test_worker_determinism_every_n6_cell():
+    cells = _admissible_cells(6)
+
+    def blob(workers):
+        res = run_verification(6, theorem_params=cells, lemma_params=cells,
+                               workers=workers, check=False)
+        parts = [to_canonical_json(r) for r in res.theorem_reports]
+        parts.extend(to_canonical_json(bundle[name])
+                     for bundle in res.lemma_bundles for name in LEMMA_CHECKS)
+        return "".join(parts)
+
+    assert blob(1) == blob(2) == blob(3) == blob(4)
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_rejected(monkeypatch, workers):
     def refuse(*args):
@@ -464,9 +478,63 @@ def test_pass_equals_leaf_by_leaf_histogram(n):
     hist, kept = _leaf_by_leaf(n, jobs)
     assert sum(hist.values()) == MAXIMAL_COUNTS[n]
     for workers in (1, 2, 3):
-        got_hist, got_kept = search._run_pass(n, jobs, workers)
+        got_hist, got_kept, _ = search._run_pass(n, jobs, workers)
         assert got_hist == hist, workers
         assert {key: sorted(fams) for key, fams in got_kept.items()} == kept, workers
+
+
+def _merged(parts):
+    """Histograms summed and kept lists joined, as the pool's merge should give them."""
+    hist, kept = Counter(), {}
+    for sub_hist, sub_kept in parts:
+        hist.update(sub_hist)
+        for key, fams in sub_kept.items():
+            kept.setdefault(key, []).extend(fams)
+    return hist, {key: sorted(fams) for key, fams in kept.items()}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_one_pass_state_serves_prefixes_in_any_order(n):
+    jobs = _all_cells(n)
+    expected = _leaf_by_leaf(n, jobs)
+    assert _merged([search._run_pass(n, jobs, 1)[:2]]) == expected
+    state = search._Pass(n, jobs)
+    prefixes = sorted(search._split_prefixes(n, 64))  # DFS order
+    memo_sizes = []
+    for order in (prefixes, prefixes[::-1]):
+        assert _merged(state(prefix) for prefix in order) == expected
+        memo_sizes.append(len(state.walk.memo))
+    # the second round meets only undecided sets the first one memoised
+    assert memo_sizes[0] == memo_sizes[1] > 0
+
+
+def _admissible_cells(n):
+    """Every (n, k, m) with n >= k + q, each cap m up to k and unbounded."""
+    return [p for k in range(1, n) for m in (*range(1, k + 1), UNBOUNDED)
+            for p in [Params(n, k, m)] if n >= k + p.q]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_pool_counts_orbits_in_its_workers(monkeypatch, n):
+    jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
+    windows = search._key_layout(jobs)[0]
+    serial = search._burnside_nonidentity(n, windows)
+
+    def refuse(*args):
+        raise AssertionError("a pooled pass counts orbits in its workers, not in the parent")
+    monkeypatch.setattr(search, "_burnside_nonidentity", refuse)
+    assert search._run_pass(n, jobs, 2)[2] == serial
+    assert search._worker_pass is None  # no pass state is left in the caller
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched count reaches pool workers only through fork")
+def test_off_by_one_cycle_type_count_raises_at_two_workers(monkeypatch):
+    original = search._cycle_type_totals
+    monkeypatch.setattr(search, "_cycle_type_totals",
+                        lambda *args: [t + 1 for t in original(*args)])
+    with pytest.raises(InvariantError):
+        run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=2)
 
 
 def test_key_codec_fields_fit_at_n9():
