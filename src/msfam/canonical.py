@@ -13,7 +13,16 @@ Colors are condensed to fixed-width digests after every refinement round.
 Digests are value-determined (no process-salted hashing), so they compare
 consistently across families, runs, and worker processes; a digest collision
 could only merge color classes, which widens the search but never changes
-results.
+results.  Many positions and members share a signature, so one call of
+_element_colors digests each distinct value once.
+
+Set families get the same encoding without the permutation search below
+(subsets.canonical_set_family).  The class-consistent images of a family are
+the orbit of any one of them under the transpositions inside the position
+blocks, so they are closed on the family bitset by delta swaps; with
+position p written as bit n-1-p the least sorted member list is a single
+reduce over that orbit.  canonical_vectors and find_isomorphism serve
+multiset families and set_families_isomorphic.
 """
 
 from __future__ import annotations
@@ -32,19 +41,31 @@ def _digest(value) -> int:
 
 
 def _element_colors(items: Sequence[Vector], n: int) -> list[int]:
-    """Iso-invariant color per position, refined a fixed number of rounds."""
+    """Iso-invariant color per position, refined a fixed number of rounds.
+
+    Many positions and members share a signature, so each distinct value is
+    digested once per call.
+    """
+    memo: dict = {}
+
+    def digest(value) -> int:
+        d = memo.get(value)
+        if d is None:
+            d = memo[value] = _digest(value)
+        return d
+
     sizes = [sum(it) for it in items]
     colors = [
-        _digest(tuple(sorted((sizes[j], it[e]) for j, it in enumerate(items))))
+        digest(tuple(sorted((sizes[j], it[e]) for j, it in enumerate(items))))
         for e in range(n)
     ]
     for _ in range(_REFINE_ROUNDS):
         item_colors = [
-            _digest(tuple(sorted((it[e], colors[e]) for e in range(n))))
+            digest(tuple(sorted((it[e], colors[e]) for e in range(n))))
             for it in items
         ]
         colors = [
-            _digest((colors[e], tuple(sorted((it[e], item_colors[j]) for j, it in enumerate(items)))))
+            digest((colors[e], tuple(sorted((it[e], item_colors[j]) for j, it in enumerate(items)))))
             for e in range(n)
         ]
     return colors

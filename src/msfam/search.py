@@ -32,7 +32,9 @@ each cycle type the invariant families are enumerated over a pair system
 of the same shape whose items are the orbits of subsets under the
 permutation, an orbit's closure being the union of its members' closures.
 Achievers are grouped into classes by orbit closure under the adjacent
-transpositions.
+transpositions, and each class is encoded once per process through its
+least member, so theorem cells that share an achiever orbit share its
+encoding.
 
 Work splits across processes by partitioning the decision tree into about 64
 prefixes per worker.  The tree is lopsided, so the prefix with the most
@@ -68,9 +70,9 @@ from .multiset import MultisetFamily, enumerate_k_multisets, count_k_multisets, 
 from .params import Cap, InvariantError, Params, ParameterError, SearchCapError
 from .reporting import LemmaReport, TheoremReport
 from .subsets import (
-    SetFamily, canonical_set_family, hm_shadow_layer_size, hm_shadow_valuable,
-    is_intersecting_sf, is_maximal_intersecting_definitional,
-    pair_rule_holds, valuable_part,
+    SetFamily, _permute_mask, _swap_closure, _transpositions, canonical_set_family,
+    hm_shadow_layer_size, hm_shadow_valuable, is_intersecting_sf,
+    is_maximal_intersecting_definitional, pair_rule_holds, valuable_part,
 )
 # not called here; perfbench/tracer.py and selftest.py address it as msfam.search's attribute
 from .subsets import set_families_isomorphic  # noqa: F401
@@ -449,14 +451,6 @@ def _split_prefixes(n: int, target: int) -> list[tuple]:
 # relabellings: orbit systems for invariant-family counting, orbit closure
 # ---------------------------------------------------------------------------
 
-def _permute_mask(x: int, perm: Sequence[int], n: int) -> int:
-    y = 0
-    for i in range(n):
-        if (x >> i) & 1:
-            y |= 1 << perm[i]
-    return y
-
-
 def _cycle_type_reps(n: int) -> list[tuple[tuple[int, ...], int]]:
     """One permutation per cycle type of S_n, with conjugacy class size."""
 
@@ -577,35 +571,9 @@ def _orbit_count(n: int, burnside_total: int) -> int:
     return classes
 
 
-@lru_cache(maxsize=None)
-def _transpositions(n: int) -> tuple[tuple[int, int], ...]:
-    """Each adjacent transposition (e e+1) as a delta swap (shift, mask) on family bitsets.
-
-    It sends every subset mask x that holds e but not e+1 to x + 2^e and back,
-    so bit x of a family bitset trades places with bit x + 2^e for x in mask.
-    """
-    return tuple(
-        (1 << e, sum(1 << x for x in range(1 << n) if (x >> e) & 3 == 1))
-        for e in range(n - 1)
-    )
-
-
 def _orbit(n: int, bits: int) -> set[int]:
-    """The S_n-orbit of a family bitset: breadth-first closure under the transpositions."""
-    moves = _transpositions(n)
-    seen = {bits}
-    frontier = [bits]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for shift, mask in moves:
-                t = (f ^ (f >> shift)) & mask
-                g = f ^ t ^ (t << shift)
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return seen
+    """The S_n-orbit of a family bitset: its closure under the adjacent transpositions."""
+    return _swap_closure(bits, _transpositions(n))
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +856,19 @@ def _achiever_classes(n: int, achiever_bits: Sequence[int]) -> list[tuple[SetFam
         if not orbit <= unclaimed:
             raise InvariantError(f"a relabelling of achiever {bits:#x} is not an achiever")
         unclaimed -= orbit
-        fam = SetFamily(n=n, bits=bits)
-        classes.append((fam, len(orbit), canonical_set_family(fam)))
+        classes.append((SetFamily(n=n, bits=bits), len(orbit), _orbit_encoding(n, bits)))
     classes.sort(key=lambda item: item[2])
     return classes
+
+
+@lru_cache(maxsize=None)
+def _orbit_encoding(n: int, least: int) -> tuple:
+    """The canonical encoding of the orbit whose least member is least.
+
+    An encoding is invariant under relabelling, so one per orbit serves
+    every theorem cell whose achievers hold that orbit.
+    """
+    return canonical_set_family(SetFamily(n=n, bits=least))
 
 
 def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,

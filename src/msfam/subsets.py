@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import canonical
 from .params import Params, ParameterError
@@ -307,6 +307,46 @@ def _member_vectors(fam: SetFamily) -> list[tuple[int, ...]]:
     return [tuple((x >> e) & 1 for e in range(fam.n)) for x in fam.members()]
 
 
+def _permute_mask(x: int, perm: Sequence[int], n: int) -> int:
+    y = 0
+    for i in range(n):
+        if (x >> i) & 1:
+            y |= 1 << perm[i]
+    return y
+
+
+@lru_cache(maxsize=None)
+def _transpositions(n: int) -> tuple[tuple[int, int], ...]:
+    """Each adjacent transposition (e e+1) as a delta swap (shift, mask) on family bitsets.
+
+    It sends every subset mask x that holds e but not e+1 to x + 2^e and back,
+    so bit x of a family bitset trades places with bit x + 2^e for x in mask.
+    """
+    return tuple(
+        (1 << e, sum(1 << x for x in range(1 << n) if (x >> e) & 3 == 1))
+        for e in range(n - 1)
+    )
+
+
+def _swap_closure(bits: int, moves: Sequence[tuple[int, int]]) -> set[int]:
+    """Every family bitset reachable from bits by the delta swaps in moves, bits included.
+
+    With moves a set of transpositions, this is the orbit of bits under the
+    group they generate.
+    """
+    seen = {bits}
+    todo = [bits]
+    while todo:
+        f = todo.pop()
+        for shift, mask in moves:
+            t = (f ^ (f >> shift)) & mask
+            g = f ^ t ^ (t << shift)
+            if g not in seen:
+                seen.add(g)
+                todo.append(g)
+    return seen
+
+
 def set_families_isomorphic(fam: SetFamily, other: SetFamily) -> tuple[bool, tuple[int, ...] | None]:
     """Relabeling of [n] mapping one family onto the other, as a 1-based witness."""
     if fam.n != other.n:
@@ -320,8 +360,33 @@ def set_families_isomorphic(fam: SetFamily, other: SetFamily) -> tuple[bool, tup
 
 
 def canonical_set_family(fam: SetFamily) -> tuple[tuple[int, ...], ...]:
-    """Canonical encoding: members as element tuples, least over relabelings."""
-    vectors = canonical.canonical_vectors(_member_vectors(fam), fam.n)
-    out = [tuple(e + 1 for e in range(fam.n) if vec[e]) for vec in vectors]
-    out.sort(key=lambda t: (len(t), t))
-    return tuple(out)
+    """Canonical encoding: members as element tuples, least over relabelings.
+
+    The encoding is that of canonical.canonical_vectors on the member vectors:
+    the least sorted member list over the relabelings that send each colour
+    class onto its position block.  Those images are the orbit of one of them
+    under the transpositions inside the blocks, searched here on the family
+    bitset.  Position p is written as bit n-1-p, so that the vector order of
+    members is the integer order of their masks; then of two families of
+    equal size the one with the smaller sorted member list holds the lowest
+    bit of their XOR.
+    """
+    n = fam.n
+    classes = canonical._color_classes(canonical._element_colors(_member_vectors(fam), n))
+    image = [0] * n  # the block order of positions, position p as bit n-1-p
+    moves = []
+    bit = n
+    for cls in classes:
+        for e in cls:
+            bit -= 1
+            image[e] = bit
+        moves += _transpositions(n)[bit:bit + len(cls) - 1]
+    start = sum(1 << _permute_mask(x, image, n) for x in fam.members())
+    best = start
+    for g in _swap_closure(start, moves):
+        diff = g ^ best
+        if g & diff & -diff:
+            best = g
+    reverse = range(n - 1, -1, -1)
+    least = sum(1 << _permute_mask(x, reverse, n) for x in SetFamily(n=n, bits=best).members())
+    return SetFamily(n=n, bits=least).member_sets()

@@ -210,6 +210,31 @@ def test_orbit_classes_match_canonical_grouping(n, k, m_key):
         assert fam.bits == min(search._orbit(n, fam.bits))
 
 
+def test_orbit_encoding_cache_is_exact_every_n6_cell(monkeypatch):
+    jobs = [(search.THEOREM, p) for p in _admissible_cells(6)]
+    hist, kept, _ = search._run_pass(6, jobs, 1)
+    layout = search._key_layout(jobs)
+    cells = [[bits for bits, in search._tally(job, hist, kept, layout)[1][search.ACHIEVER]]
+             for job in jobs]
+    cold = []
+    for achievers in cells:
+        search._orbit_encoding.cache_clear()
+        cold.append(search._achiever_classes(6, achievers))
+    encoded = []
+    original = search.canonical_set_family
+    monkeypatch.setattr(search, "canonical_set_family",
+                        lambda fam: encoded.append(fam.bits) or original(fam))
+    search._orbit_encoding.cache_clear()
+    # the cache stays warm from one cell to the next
+    for achievers, expected in zip(cells, cold):
+        assert search._achiever_classes(6, achievers) == expected
+        assert search._achiever_classes(6, achievers) == expected
+    assert search._orbit_encoding.cache_info().hits > 0
+    # each orbit is encoded once, through its least member
+    reps = {fam.bits for classes in cold for fam, _, _ in classes}
+    assert sorted(encoded) == sorted(reps)
+
+
 def test_achiever_classes_reject_a_broken_orbit():
     achievers = _achievers(5, 4, None)
     rep = max(search._achiever_classes(5, achievers), key=lambda c: c[1])[0]
@@ -375,18 +400,31 @@ def test_worker_determinism_small():
     assert blob(1) == blob(2) == blob(3) == blob(4)
 
 
+def _every_cell_blob(n, workers):
+    """The theorem and lemma reports of every admissible cell at n, concatenated."""
+    cells = _admissible_cells(n)
+    res = run_verification(n, theorem_params=cells, lemma_params=cells,
+                           workers=workers, check=False)
+    parts = [to_canonical_json(r) for r in res.theorem_reports]
+    parts.extend(to_canonical_json(bundle[name])
+                 for bundle in res.lemma_bundles for name in LEMMA_CHECKS)
+    return "".join(parts)
+
+
 def test_worker_determinism_every_n6_cell():
-    cells = _admissible_cells(6)
+    blobs = [_every_cell_blob(6, workers) for workers in (1, 2, 3, 4)]
+    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
-    def blob(workers):
-        res = run_verification(6, theorem_params=cells, lemma_params=cells,
-                               workers=workers, check=False)
-        parts = [to_canonical_json(r) for r in res.theorem_reports]
-        parts.extend(to_canonical_json(bundle[name])
-                     for bundle in res.lemma_bundles for name in LEMMA_CHECKS)
-        return "".join(parts)
 
-    assert blob(1) == blob(2) == blob(3) == blob(4)
+@pytest.mark.parametrize("n,digest", [
+    (5, "578b356b987b60da9cca4c170db591e1a0aee134515ce8e808b73fb647a8eb30"),
+    (6, "e180041d8b580623d597f703c7df2dc1aa9b1b39efc84e81594b47ade0da19b2"),
+])
+def test_every_cell_report_bytes_pinned(n, digest):
+    """Every cell's reports at 1 to 4 workers hash to the digest pinned from
+    the vector-path encodings."""
+    for workers in (1, 2, 3, 4):
+        assert hashlib.sha256(_every_cell_blob(n, workers).encode()).hexdigest() == digest, workers
 
 
 @pytest.mark.parametrize("workers", [0, -1])
