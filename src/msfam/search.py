@@ -22,33 +22,37 @@ achiever, a violation or a rigidity candidate), decided the first time the
 key is seen.  The jobs then run once per distinct key: n=7 has 240 keys
 among its 1.42M families.  No branch of the subset tree conflicts, so a
 node's completions depend only on its set U of undecided subsets, and the
-key of a family adds up over its members.  The pass therefore carries a
-packed key down the tree and, once at most _MEMO_PAIRS pairs are undecided,
-takes the completions' keys from a memo over U instead of visiting leaves;
-the n=7 tree meets about 1.4k distinct U there.  Counting the families
-alone uses the same memo.  Isomorphism classes are S_n-orbits under
-relabelling of [n].  Their counts come from the orbit-counting lemma: for
-each cycle type the invariant families are enumerated over a pair system
-of the same shape whose items are the orbits of subsets under the
-permutation, an orbit's closure being the union of its members' closures.
-Achievers are grouped into classes by orbit closure under the adjacent
-transpositions, and each class is encoded once per process through its
-least member, so theorem cells that share an achiever orbit share its
-encoding.
+key of a family adds up over its members.  The pass therefore counts
+top-down over U rather than over the tree: each U pushes its node keys,
+with the number of paths to each, into its children, down to U = 0.  At n=7
+that is about 90k (U, key) states, where the tree has 1.42M leaves.  The
+families under interesting keys are then collected by a descent that enters
+only the states from which such a key is still reachable, and takes the
+last _MEMO_PAIRS pairs from a memo over U.  Counting the families alone uses
+the same walk.  Isomorphism classes are S_n-orbits under relabelling of [n].  Their
+counts come from the orbit-counting lemma: for each cycle type the invariant
+families are counted by the same walk over a pair system whose items are
+the orbits of subsets under the permutation, an orbit's closure being the
+union of its members' closures.  Such a system conflicts only inside one
+outcome (an orbit holding two disjoint subsets), so once those outcomes are
+dropped its completions too depend on U alone.  Achievers are grouped into
+classes by orbit closure under the adjacent transpositions, and each class
+is encoded once per process through its least member, so theorem cells
+that share an achiever orbit share its encoding.
 
-Work splits across processes by partitioning the decision tree into about 64
+Work splits across processes by partitioning the decision tree into about 16
 prefixes per worker.  The tree is lopsided, so the prefix with the most
 undecided pairs is always split next.  Each worker process builds the pass
 state once (the key codec, the verdicts on keys and the memo over U with its
-verdicts) and keeps it for every prefix it is given, so the prefixes
-together cost about one walk of the whole tree.  The orbit counting runs in
-the same pool, one task per non-identity cycle type, ahead of the prefixes,
-which follow largest first; the parent sums the totals and merges each
-result as it arrives.  The n=7 verification of six jobs takes about 1.1 s at
-one worker and 0.7 s at two (benchmark medians, 2-core Xeon, Python 3.11).  All
-per-family collections are sorted before reporting, and violation lists are
-cut to their first entries only after that sort, so report bytes do not
-depend on the worker count.
+verdicts) and keeps it for every prefix it is given.  The orbit counting
+runs in the same pool, one task per non-identity cycle type, ahead of the
+prefixes, which follow largest first; the parent sums the totals and merges
+each result as it arrives.  The n=7 verification of six jobs takes about
+0.23 s at one worker and 0.18 s at two (benchmark medians, 2-core Xeon,
+Python 3.11); at two, starting the pool is much of it.  All per-family
+collections are sorted before reporting, and violation lists are cut to
+their first entries only after that sort, so report bytes do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -91,9 +95,10 @@ DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_ORACLE_VERTEX_CAP = 120
 _VIOLATION_CAP = 1000
 _ENUMERATION_PREFIXES = 256  # the largest holds 5.6% of the n=7 families
-# _KeyWalk memoises subtrees of at most this many undecided pairs.  The
-# n=7 verification of six jobs at workers=1 took 3.2, 1.9, 2.1 and 3.2-4.1 s at
-# 2, 3, 4 and 5, and peaked at 22.2, 23.6, 26.5 and 33 MB (2-core Xeon)
+# _KeyWalk collects the families of subtrees with at most this many undecided
+# pairs from a memo of their completions.  _Pass(7, [(7,6,inf)]), which keeps
+# all 1.42M families, took 2.0-2.8, 1.6-2.3 and 1.5-2.1 s at 2, 3 and 4
+# (three runs each, 2-core Xeon); the n=6 pass of six jobs was fastest at 2 or 3
 _MEMO_PAIRS = 3
 
 CHECK_REMOVED_LAYER = "removed-layer"
@@ -126,8 +131,7 @@ def _tables(n: int) -> _Tables:
     up[x] is the family bitset of x and its proper supersets short of [n],
     down[x] that of x and its non-empty subsets.  Both are transitively
     closed: a member forces exactly up[x] in, a non-member exactly down[x] out.
-    steps is decisions as _KeyWalk walks them: per outcome, the closure
-    taken in and the mask of the subsets it leaves undecided.
+    steps is decisions as _KeyWalk walks them (see _walk_steps).
     """
     full = (1 << n) - 1
     singles = [1 << e for e in range(n)]
@@ -144,47 +148,23 @@ def _tables(n: int) -> _Tables:
     # one decision per complementary pair: the smaller side, ties by mask value
     reps = sorted((x for x in range(1, full) if side(x) < side(full ^ x)), key=side)
     decisions = tuple((1 << x, ((up[x], down[full ^ x]), (up[full ^ x], down[x]))) for x in reps)
-    proper = (1 << full) - 2
-    steps = tuple((bit, tuple((add_in, proper ^ (add_in | add_out)) for add_in, add_out in outcomes))
-                  for bit, outcomes in decisions)
-    return _Tables(full=full, up=tuple(up), down=tuple(down), decisions=decisions, steps=steps)
+    return _Tables(full=full, up=tuple(up), down=tuple(down), decisions=decisions,
+                   steps=_walk_steps(n, decisions))
 
 
-@lru_cache(maxsize=None)
-def _absent_valuable(n: int, k: int) -> tuple[int, ...]:
-    """Per element: bitset of the k-subsets avoiding that element.
-
-    A maximal family's valuable part for the window [q, k] qualifies (is
-    non-empty with empty total intersection) exactly when every element is
-    avoided by some member with size in [q, k].  Only layer k matters: the
-    family is an up-set and k <= n-1, so a member of size in [q, k] that
-    avoids e lies inside a k-subset avoiding e, which is a member too.
+def _walk_steps(n: int, decisions) -> tuple:
+    """A pair system as _KeyWalk walks it: per decision (bit, outcomes), each
+    outcome as the closure it takes in and the mask of the items it leaves
+    undecided.  An outcome whose own closures meet is dropped, and that is
+    the only conflict a branch can meet: in is an up-set and out a down-set,
+    both unions of items, so an undecided item's closures cannot meet them.
+    The subset system drops nothing; an orbit system drops the outcomes of
+    orbits that hold two disjoint subsets.
     """
-    full = (1 << n) - 1
-    return tuple(sum(1 << x for x in range(1, full) if x.bit_count() == k and not x >> e & 1)
-                 for e in range(n))
-
-
-def _window_flags(n: int, windows: Sequence[tuple[int, int]]) -> Callable[[int], tuple[bool, ...]]:
-    """Per window (q, k), whether a maximal family's valuable part qualifies:
-    every element avoided by some k-member (see _absent_valuable).  By the
-    same up-set argument a family that qualifies at k qualifies at every
-    larger k <= n-1, so the ks are tested in increasing order and the first
-    that qualifies settles all windows; usually that is the first test.
-    """
-    ks = sorted({k for _, k in windows})
-    absents = [_absent_valuable(n, k) for k in ks]
-    settled = [tuple(k >= least for _, k in windows) for least in ks]
-    nowhere = (False,) * len(windows)
-
-    def flags(bits: int) -> tuple[bool, ...]:
-        band = bits.__and__
-        for absent, outcome in zip(absents, settled):
-            if all(map(band, absent)):
-                return outcome
-        return nowhere
-
-    return flags
+    proper = (1 << ((1 << n) - 1)) - 2
+    return tuple((bit, tuple((add_in, proper ^ (add_in | add_out))
+                             for add_in, add_out in outcomes if not add_in & add_out))
+                 for bit, outcomes in decisions)
 
 
 class _KeyCodec:
@@ -194,13 +174,19 @@ class _KeyCodec:
     members (those holding element 1) on each removed layer; the pair rule
     gives the other layers, count[n-l] = C(n, l) - count[l] and, for even n,
     count[n/2] = C(n, n/2) / 2.  Above the fields sits, per distinct k of the
-    windows, the n-bit mask of the elements some k-member avoids; the window
-    (q, k) qualifies iff that mask is full (see _absent_valuable).  A member
-    x turns key into (key + add[x]) | cov[x], so the key of a disjoint union
-    of member sets is the sum of their fields and the union of their masks.
+    windows, the n-bit mask of the elements some k-member avoids.  The
+    window (q, k) qualifies (its part of the family is non-empty with empty
+    total intersection) iff that mask is full: only layer k matters, since
+    the family is an up-set and k <= n-1, so a member of size in [q, k] that
+    avoids an element lies inside a k-subset avoiding it, which is a member
+    too.  A member x turns key into (key + add[x]) | cov[x], so the key of a
+    disjoint union of member sets is the sum of their fields and the union
+    of their masks.
     Each field is as wide as its largest possible value, which the
     constructor checks: the contributions of all subsets together must
-    decode to exactly those maxima.
+    decode to exactly those maxima.  One zero guard bit sits above each
+    field, so that fields can be compared all at once by subtraction (see
+    _KeyWalk._collect).
     """
 
     def __init__(self, n: int, windows: tuple, removed: tuple):
@@ -208,11 +194,14 @@ class _KeyCodec:
         self.n, self.full, self.windows = n, full, windows
         self.layers = range(1, (n + 1) // 2)
         maxima = [comb(n, l) for l in self.layers] + [comb(n - 1, s - 1) for s in removed]
-        fields, width = [], 0
+        fields, width, self.guards = [], 0, 0
         for most in maxima:
             fields.append((width, (1 << most.bit_length()) - 1))
             width += most.bit_length()
-        self.low = (1 << width) - 1  # the additive fields
+            self.guards |= 1 << width
+            width += 1
+        self.fields = fields
+        self.low = (1 << width) - 1  # the additive fields and their guard bits
         self.layer_fields = fields[:len(self.layers)]
         self.star_fields = fields[len(self.layers):]
         ks = dict.fromkeys(k for _, k in windows)
@@ -253,33 +242,51 @@ def _key_codec(n: int, windows: tuple, removed: tuple) -> _KeyCodec:
 class _KeyWalk:
     """The packed keys of the maximal families on [n] below a prefix, counted,
     and the bits of the families under keys that keep marks.  With codec
-    None every key is 0, so the histogram holds just the leaf count.
+    None every key is 0, so the histogram holds just the leaf count.  steps
+    is the pair system walked (see _walk_steps), the subset system by
+    default; the orbit systems are walked the same way.
 
-    In the subset system no branch conflicts, so a node's completions depend
-    only on its undecided set U: every leaf below it is in | T for a
-    completion T of U.  The walk carries the node's key down the tree and
-    adds to it the key of the members each decision takes in; those member
-    sets are few (588 at n=7), so their keys are cached.  At a node with at
-    most _MEMO_PAIRS undecided pairs it stops: the completions' keys,
-    counted, are built once per U (leaf by leaf, at most 2**_MEMO_PAIRS
-    leaves), and the node only counts its own key under U.  The n=7 tree
-    meets about 187k such nodes but only about 15k distinct (key, U) over
-    about 1.4k distinct U.  A (key, U) that yields a kept key is walked leaf
-    by leaf wherever it is met, to collect the families.  Finally, under
-    each U, every node key joined with every completion key gets the product
-    of their counts.
+    No branch conflicts once _walk_steps has dropped the outcomes whose own
+    closures meet, so a node's completions depend only on its undecided set
+    U: every leaf below it is in | T for a completion T of U.  The count
+    therefore runs top-down over U rather than over the tree.  Each U holds
+    its node keys with the number of paths to each, and pushes them through
+    each outcome into the child's keys, summing where two keys meet (ORing
+    cover masks can send two keys to one); the keys of the members an
+    outcome takes in are added through a cache (588 member sets at n=7).
+    The U are taken largest first, so a U is complete before it is pushed,
+    and the keys that reach U = 0 are the histogram.  For the n=7 pass of
+    six jobs that is about 90k distinct (U, key) over 34k distinct U, at
+    most 21k of them held at once, where the tree has 1.42M leaves.
 
-    The memo over U, the verdicts per (key, U) and the cached keys hold for
-    the whole tree, so one walk serves every prefix it is given, in any
-    order; a call owns only its node keys per U and its kept families.
+    The families under kept keys are then collected by a second descent,
+    which enters a state only if some kept key of the histogram is still
+    reachable from it: each additive field grows by at most the members of
+    U that feed it, and cover bits are only added.  That verdict is
+    memoised per (U, key) for the call.  Once at most _MEMO_PAIRS pairs are
+    undecided, the descent takes the completions of U, with their keys, from
+    a memo over U, together with the exact verdict per (key, U): whether a
+    completion gives a kept key.
+
+    The memo over U, its verdicts and the cached keys hold for the whole
+    tree, so one walk serves every prefix it is given, in any order; a call
+    owns only its keys per U, its reach verdicts and its kept families.
     """
 
     def __init__(self, n: int, codec: _KeyCodec | None = None,
-                 keep: Callable[[int], bool] = lambda key: False):
-        self.tables, self.codec, self.keep = _tables(n), codec, keep
-        # U -> (its completions' keys, counted; per node key met with U,
-        # whether the leaves below include kept families)
-        self.memo: dict[int, tuple[Counter, dict[int, bool]]] = {}
+                 keep: Callable[[int], bool] = lambda key: False, steps: tuple | None = None):
+        t = _tables(n)
+        self.steps = t.steps if steps is None else steps
+        self.proper, self.codec, self.keep = (1 << t.full) - 2, codec, keep
+        self.low = self.guards = 0
+        self.feeds: list[tuple[int, int]] = []  # per field: (its shift, the items that add to it)
+        if codec is not None:
+            self.low, self.guards = codec.low, codec.guards
+            self.feeds = [(shift, sum(1 << x for x in range(1, t.full) if codec.add[x] >> shift & mask))
+                          for shift, mask in codec.fields]
+        # U -> (its completions with their keys; per node key met with U,
+        # whether a completion gives a kept key)
+        self.memo: dict[int, tuple[list, dict[int, bool]]] = {}
         # a member set taken in at once -> its key as (cover masks, fields)
         self.deltas: dict[int, tuple[int, int]] = {}
 
@@ -295,78 +302,117 @@ class _KeyWalk:
                 new ^= bit
         return masks, fields
 
+    def _plus(self, key: int, new: int) -> int:
+        # the cover masks are ORed in; the fields add without carrying out
+        # of their widths, which the codec checked
+        deltas = self.deltas
+        masks, fields = deltas.get(new) or deltas.setdefault(new, self._delta(new))
+        return (key | masks) + fields
+
+    def _join(self, key: int, part: int) -> int:  # a node's key and one of its completions'
+        low = self.low
+        return ((key | part) & ~low) | ((key + part) & low)
+
+    def _completions(self, idx: int, undecided: int) -> list[tuple[int, int]]:
+        """The completions T of an undecided set, each with its key, in DFS order."""
+        if not undecided:
+            return [(0, 0)]
+        steps, plus = self.steps, self._plus
+        while not steps[idx][0] & undecided:
+            idx += 1
+        out = []
+        for add_in, rest in steps[idx][1]:
+            new = add_in & undecided
+            out += [(new | t, plus(part, new)) for t, part in self._completions(idx + 1, undecided & rest)]
+        return out
+
     def histogram(self, prefix=()) -> tuple[Counter, dict[int, list[int]]]:
-        t = self.tables
-        steps, memo, deltas, keep, delta = t.steps, self.memo, self.deltas, self.keep, self._delta
-        low = 0 if self.codec is None else self.codec.low
+        steps = self.steps
+        undecided, fam = self.proper, 0
+        for idx, v in prefix:
+            add_in, rest = steps[idx][1][v]
+            undecided &= rest
+            fam |= add_in
+        key = self._plus(0, fam)
+        hist = self._count(undecided, key)
+        targets = [k for k in hist if self.keep(k)]
+        return hist, self._collect(undecided, fam, key, targets) if targets else {}
+
+    def _count(self, undecided: int, key: int) -> Counter:
+        steps, deltas, delta = self.steps, self.deltas, self._delta
+        # per number of undecided items: U -> [a step index at or before
+        # U's first undecided decision, {node key: paths}]
+        levels: list = [{} for _ in range(undecided.bit_count() + 1)]
+        levels[-1][undecided] = [0, {key: 1}]
+        for size in range(len(levels) - 1, 0, -1):
+            for u, (idx, keys) in levels[size].items():
+                while not steps[idx][0] & u:
+                    idx += 1
+                for add_in, rest in steps[idx][1]:
+                    new = add_in & u
+                    masks, fields = deltas.get(new) or deltas.setdefault(new, delta(new))
+                    child = u & rest
+                    level = levels[child.bit_count()]
+                    entry = level.get(child)
+                    if entry is None:
+                        entry = level[child] = [idx + 1, {}]
+                    into = entry[1]
+                    for k, paths in keys.items():
+                        k = (k | masks) + fields
+                        into[k] = into.get(k, 0) + paths
+            levels[size] = None
+        return Counter(levels[0][0][1]) if levels[0] else Counter()
+
+    def _collect(self, undecided: int, fam: int, key: int, targets: list[int]
+                 ) -> dict[int, list[int]]:
+        """The families below a state under the keys targets that keep
+        marks.  A state (U, key) is entered only if some target is still
+        reachable from it, which is memoised per (U, key) for the call; the
+        fields are compared all at once, since with the guard bits set in
+        the minuend a field's guard survives the subtraction iff that field
+        did not go negative."""
+        steps, memo, keep, plus, join = self.steps, self.memo, self.keep, self._plus, self._join
+        low, guards, feeds = self.low, self.guards, self.feeds
         limit = 2 * _MEMO_PAIRS
-
-        def plus(key: int, new: int) -> int:
-            # the cover masks are ORed in; the fields add without carrying
-            # out of their widths, which the codec checked
-            masks, fields = deltas.get(new) or deltas.setdefault(new, delta(new))
-            return (key | masks) + fields
-
-        def join(key: int, part: int) -> int:  # a node's key and one of its completions'
-            return ((key | part) & ~low) | ((key + part) & low)
-
-        def leaves(idx: int, undecided: int, fam: int, key: int, on_leaf) -> None:
-            if not undecided:
-                on_leaf(fam, key)
-                return
-            while not steps[idx][0] & undecided:
-                idx += 1
-            for add_in, rest in steps[idx][1]:
-                new = add_in & undecided
-                leaves(idx + 1, undecided & rest, fam | new, plus(key, new), on_leaf)
-
-        met: dict[int, dict[int, int]] = {}  # U -> the node keys met with it, counted
+        lifted = [(t & low | guards, t) for t in targets]
+        reachable: dict[tuple[int, int], bool] = {}
         kept: dict[int, list[int]] = defaultdict(list)
 
-        def collect(fam: int, key: int) -> None:
-            if keep(key):
-                kept[key].append(fam)
-
-        def rec(idx: int, undecided: int, fam: int, key: int) -> None:
-            if undecided.bit_count() <= limit:
-                entry = memo.get(undecided)
+        def descend(idx: int, u: int, fam: int, key: int) -> None:
+            if u.bit_count() <= limit:
+                entry = memo.get(u)
                 if entry is None:
-                    below: Counter = Counter()
-                    leaves(idx, undecided, 0, 0, lambda _, k: below.update((k,)))
-                    entry = memo[undecided] = (below, {})
-                below, walks = entry
+                    entry = memo[u] = (self._completions(idx, u), {})
+                completions, walks = entry
                 walk = walks.get(key)
                 if walk is None:
-                    walk = walks[key] = any(keep(join(key, k)) for k in below)
-                seen = met.get(undecided)
-                if seen is None:
-                    met[undecided] = {key: 1}
-                else:
-                    seen[key] = seen.get(key, 0) + 1
+                    walk = walks[key] = any(keep(join(key, part)) for _, part in completions)
                 if walk:
-                    leaves(idx, undecided, fam, key, collect)
+                    for t, part in completions:
+                        leaf = join(key, part)
+                        if keep(leaf):
+                            kept[leaf].append(fam | t)
                 return
-            while not steps[idx][0] & undecided:
+            verdict = reachable.get((u, key))
+            if verdict is None:
+                # guards plus, per field, how many members of U could still add to it
+                room = guards | sum((u & feed).bit_count() << shift for shift, feed in feeds)
+                fields = key & low
+                verdict = reachable[u, key] = any(
+                    (gap := target - fields) & guards == guards
+                    and (room - (gap ^ guards)) & guards == guards and (key & ~t) <= low
+                    for target, t in lifted)
+            if not verdict:
+                return
+            while not steps[idx][0] & u:
                 idx += 1
             for add_in, rest in steps[idx][1]:
-                new = add_in & undecided
-                masks, fields = deltas.get(new) or deltas.setdefault(new, delta(new))  # plus, inlined
-                rec(idx + 1, undecided & rest, fam | new, (key | masks) + fields)
+                new = add_in & u
+                descend(idx + 1, u & rest, fam | new, plus(key, new))
 
-        fin = fout = 0
-        for idx, v in prefix:
-            add_in, add_out = t.decisions[idx][1][v]
-            fin |= add_in
-            fout |= add_out
-        rec(0, ((1 << t.full) - 2) & ~(fin | fout), fin, plus(0, fin))
-        del rec, leaves  # both refer to themselves; break the cycles so this call's state goes now
-        hist: Counter = Counter()
-        for undecided, seen in met.items():
-            below = memo[undecided][0]
-            for key, times in seen.items():
-                for k, count in below.items():
-                    hist[join(key, k)] += times * count
-        return hist, kept
+        descend(0, undecided, fam, key)
+        del descend  # it refers to itself; break the cycle so this call's state goes now
+        return kept
 
 
 def _dfs(decisions, on_leaf, prefix=()) -> int:
@@ -382,6 +428,10 @@ def _dfs(decisions, on_leaf, prefix=()) -> int:
     way); conflicts arise in the orbit systems, whose orbits can hold two
     disjoint subsets.  prefix, a sequence of (decision index, outcome
     index), is replayed first; an inconsistent prefix contributes nothing.
+
+    Counting goes through _KeyWalk instead; this leaf-by-leaf walk serves
+    enumerate_maximal_families, which yields every family, and the tests,
+    which use it as the oracle for the walk.
     """
     floor = len(decisions) + 500
     if sys.getrecursionlimit() < floor:
@@ -528,15 +578,10 @@ def _cycle_type_totals(n: int, windows: Sequence[tuple[int, int]],
     system = _orbit_system(n, perm)
     if system is None:
         return totals
-    flags = _window_flags(n, windows)
-    tally: Counter = Counter()
-
-    def on_leaf(bits: int) -> None:
-        tally[flags(bits)] += 1
-
-    _dfs(system, on_leaf)
-    for qualified, count in tally.items():
-        for i, ok in enumerate((True, *qualified)):
+    codec = _key_codec(n, tuple(windows), ())
+    hist = _KeyWalk(n, codec, steps=_walk_steps(n, system)).histogram()[0]
+    for key, count in hist.items():
+        for i, ok in enumerate((True, *codec.decode(key)[1])):
             if ok:
                 totals[i] += class_size * count
     return totals
@@ -789,10 +834,15 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     empty when the jobs have no windows).
 
     With several workers each worker process builds one _Pass and keeps it
-    for the pool's lifetime.  The tree is split into about 64 prefixes per
-    worker, and each non-identity cycle type is one more task; the cycle
-    types go first, the transposition leading as the largest single task,
-    then the prefixes largest first, one task at a time.  Each result is
+    for the pool's lifetime.  The tree is split into about 16 prefixes per
+    worker, and each non-identity cycle type is one more task.  More
+    prefixes balance better but recount more, since a prefix recounts the
+    states it shares with others: the n=7 pass of six jobs over 1, 16, 32,
+    64 and 128 prefixes took 0.11, 0.12, 0.13, 0.20 and 0.20 s in one
+    process, and below 32 prefixes one of them holds most of the work (at
+    16, 0.10 s), so 16 per worker is the fewest that keeps two workers
+    balanced (2-core Xeon).  The cycle types go first, then the prefixes
+    largest first, one task at a time.  Each result is
     merged as it arrives, so the parent holds one result at a time.
     """
     windows = _key_layout(jobs)[0]
@@ -800,7 +850,7 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
         hist, kept = _Pass(n, jobs)()
         return hist, kept, _burnside_nonidentity(n, windows) if windows else []
     tasks = [("orbits", perm, size) for perm, size in _nonidentity_types(n)] if windows else []
-    tasks += [("prefix", prefix) for prefix in _split_prefixes(n, 64 * workers)]
+    tasks += [("prefix", prefix) for prefix in _split_prefixes(n, 16 * workers)]
     hist: Counter = Counter()
     kept: dict[tuple, list[int]] = {}
     nonidentity = [0] * (1 + len(windows)) if windows else []

@@ -6,8 +6,9 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
+from operator import and_
 
 import pytest
 
@@ -469,8 +470,8 @@ def test_window_flags_need_only_layer_k(n):
     windows = tuple((q, k) for k in range(1, n) for q in range(1, k + 1))
     by_cap = {(p.q, p.k): p for k in range(1, n) for m in (1, 2, 3, UNBOUNDED)
               for p in [Params(n, k, m)]}
-    flags = search._window_flags(n, windows)
     codec = search._KeyCodec(n, windows, ())
+    full = (1 << n) - 1
     for fam in enumerate_maximal_families(n):
         expected = []
         for q, k in windows:
@@ -479,8 +480,10 @@ def test_window_flags_need_only_layer_k(n):
                 assert valuable_part(fam, by_cap[q, k]) == part
             expected.append(_qualifies(part))
         expected = tuple(expected)
-        assert flags(fam.bits) == expected, fam.bits
-        assert codec.decode(_packed_key(codec, fam.bits))[1] == expected, fam.bits
+        # the flag read from the cover mask of layer k alone
+        key = _packed_key(codec, fam.bits)
+        assert tuple(key >> codec.cover_shift[k] & full == full for _, k in windows) == expected
+        assert codec.decode(key)[1] == expected, fam.bits
 
 
 def _key_by_definition(fam, windows, removed):
@@ -552,6 +555,37 @@ def _admissible_cells(n):
             for p in [Params(n, k, m)] if n >= k + p.q]
 
 
+@lru_cache(maxsize=None)
+def _keys_by_definition(n, layout):
+    """(bits, key by definition) of every maximal family on [n]."""
+    return [(fam.bits, _key_by_definition(fam, *layout)) for fam in enumerate_maximal_families(n)]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("marks", ["jobs", "every key", "no key"])
+def test_walk_equals_leaf_by_leaf_under_every_cell(n, marks):
+    """Every admissible cell's windows at once, so that ORing cover masks
+    sends many node keys to one, with the jobs' keep, a keep that marks
+    every key and one that marks none; over the whole tree and over
+    prefixes."""
+    jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
+    layout = search._key_layout(jobs)
+    keep = {"jobs": lambda key: any(search._findings(job, key, layout) for job in jobs),
+            "every key": lambda key: True, "no key": lambda key: False}[marks]
+    expected_hist, expected_kept = Counter(), {}
+    for bits, key in _keys_by_definition(n, layout):
+        expected_hist[key] += 1
+        if keep(key):
+            expected_kept.setdefault(key, []).append(bits)
+    state = search._Pass(n, jobs)
+    if marks != "jobs":
+        state.walk = search._KeyWalk(n, state.codec, lambda key: keep(state.decode(key)))
+    prefixes = sorted(search._split_prefixes(n, 16))
+    expected = expected_hist, {key: sorted(fams) for key, fams in expected_kept.items()}
+    for parts in ([state()], [state(prefix) for prefix in prefixes]):
+        assert _merged(parts) == expected
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_pool_counts_orbits_in_its_workers(monkeypatch, n):
     jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
@@ -563,6 +597,79 @@ def test_pool_counts_orbits_in_its_workers(monkeypatch, n):
     monkeypatch.setattr(search, "_burnside_nonidentity", refuse)
     assert search._run_pass(n, jobs, 2)[2] == serial
     assert search._worker_pass is None  # no pass state is left in the caller
+
+
+def _flags_by_definition(n, windows):
+    """Per window (q, k), whether a family's members of size in [q, k] are
+    non-empty with empty total intersection, from each layer's intersection:
+    one pass over the members serves every window, which keeps the 54k
+    invariant families at n=7 quick (_qualifies takes one pass per window)."""
+    full = (1 << n) - 1
+
+    def flags(bits):
+        core, seen = [full] * (n + 1), [False] * (n + 1)
+        for x in SetFamily(n=n, bits=bits).members():
+            core[x.bit_count()] &= x
+            seen[x.bit_count()] = True
+        return tuple(any(seen[q:k + 1]) and not reduce(and_, core[q:k + 1]) for q, k in windows)
+
+    return flags
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_orbit_walk_equals_leaf_by_leaf_count(n):
+    windows = search._key_layout([(search.THEOREM, p) for p in _admissible_cells(n)])[0]
+    assert windows
+    flags = _flags_by_definition(n, windows)
+    for perm, size in search._nonidentity_types(n):
+        system = search._orbit_system(n, perm)
+        tally = Counter()
+        if system is not None:
+            search._dfs(system, lambda bits: tally.update((flags(bits),)))
+        expected = [size * sum(tally.values())]
+        expected += [size * sum(c for f, c in tally.items() if f[i]) for i in range(len(windows))]
+        assert search._cycle_type_totals(n, windows, perm, size) == expected, perm
+        assert search._cycle_type_totals(n, (), perm, size) == expected[:1], perm
+
+
+def _rejected_outcomes(decisions):
+    """Walk a pair system as _dfs does, and list the outcome (in, out) of each rejected branch."""
+    rejected = []
+
+    def rec(idx, fin, fout):
+        while idx < len(decisions) and decisions[idx][0] & (fin | fout):
+            idx += 1
+        if idx == len(decisions):
+            return
+        for add_in, add_out in decisions[idx][1]:
+            if (fin | add_in) & (fout | add_out):
+                rejected.append((add_in, add_out))
+            else:
+                rec(idx + 1, fin | add_in, fout | add_out)
+
+    rec(0, 0, 0)
+    return rejected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_orbit_systems_conflict_only_inside_one_outcome(n):
+    """The premise of walking orbit systems by undecided set: a branch fails
+    only when the outcome's own closures meet, never against the state."""
+    proper = (1 << ((1 << n) - 1)) - 2
+    conflicts = 0
+    for perm, _ in search._nonidentity_types(n):
+        system = search._orbit_system(n, perm)
+        if system is None:
+            continue
+        rejected = _rejected_outcomes(system)
+        assert all(add_in & add_out for add_in, add_out in rejected), perm
+        conflicts += len(rejected)
+        # so the walk, which never looks at the state, completes to _dfs's leaves
+        leaves = []
+        search._dfs(system, leaves.append)
+        walk = search._KeyWalk(n, steps=search._walk_steps(n, system))
+        assert sorted(t for t, _ in walk._completions(0, proper)) == sorted(leaves), perm
+    assert conflicts or n < 4
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
