@@ -24,32 +24,40 @@ among its 1.42M families.  No branch of the subset tree conflicts, so a
 node's completions depend only on its set U of undecided subsets, and the
 key of a family adds up over its members.  The pass therefore counts
 top-down over U rather than over the tree: each U pushes its node keys,
-with the number of paths to each, into its children, down to U = 0.  At n=7
-that is about 90k (U, key) states, where the tree has 1.42M leaves.  The
-families under interesting keys are then collected by a descent that enters
-only the states from which such a key is still reachable, and takes the
-last _MEMO_PAIRS pairs from a memo over U.  Counting the families alone uses
-the same walk.  Isomorphism classes are S_n-orbits under relabelling of [n].  Their
-counts come from the orbit-counting lemma: for each cycle type the invariant
-families are counted by the same walk over a pair system whose items are
-the orbits of subsets under the permutation, an orbit's closure being the
-union of its members' closures.  Such a system conflicts only inside one
-outcome (an orbit holding two disjoint subsets), so once those outcomes are
-dropped its completions too depend on U alone.  Achievers are grouped into
-classes by orbit closure under the adjacent transpositions, and each class
-is encoded once per process through its least member, so theorem cells
-that share an achiever orbit share its encoding.
+with the number of paths to each, into its children, down to U = 0.  How
+many U it meets depends only on the order in which the pairs are decided,
+so the walk takes its own order, the one the frontier-based search of
+Kawahara et al. uses: each next pair is the one that leaves the fewest
+undecided pairs bordering the decided ones.  At n=7 that is about 12k U
+and 49k (U, key) states (34k and 90k in decision order, which takes the
+singletons first), where the tree has 1.42M leaves.  The families under
+interesting keys are then collected by a descent in the same order that
+enters only the states from which such a key is still reachable, and takes
+the last _MEMO_PAIRS pairs from a memo over U.  Counting the families alone
+uses the same walk.  Isomorphism classes are S_n-orbits under relabelling
+of [n].  Their counts come from the orbit-counting lemma: for each cycle
+type the invariant families are counted by the same walk over a pair
+system whose items are the orbits of subsets under the permutation, an
+orbit's closure being the union of its members' closures.  Such a system
+conflicts only inside one outcome (an orbit holding two disjoint subsets),
+so once those outcomes are dropped its completions too depend on U alone.
+Achievers are grouped into classes by orbit closure under the adjacent
+transpositions, and each class is encoded once per process through its
+least member, so theorem cells that share an achiever orbit share its
+encoding.
 
-Work splits across processes by partitioning the decision tree into about 16
-prefixes per worker.  The tree is lopsided, so the prefix with the most
-undecided pairs is always split next.  Each worker process builds the pass
-state once (the key codec, the verdicts on keys and the memo over U with its
-verdicts) and keeps it for every prefix it is given.  The orbit counting
-runs in the same pool, one task per non-identity cycle type, ahead of the
-prefixes, which follow largest first; the parent sums the totals and merges
-each result as it arrives.  The n=7 verification of six jobs takes about
-0.23 s at one worker and 0.18 s at two (benchmark medians, 2-core Xeon,
-Python 3.11); at two, starting the pool is much of it.  All per-family
+Work splits across processes by partitioning the decision tree into about 8
+prefixes per worker, taken in decision order; the walk below a prefix
+replays it and goes on in its own order.  The tree is lopsided, so the
+prefix with the most undecided pairs is always split next.  Each worker
+process builds the pass state once (the key codec, the verdicts on keys and
+the memo over U with its verdicts) and keeps it for every prefix it is
+given.  The orbit counting runs in the same pool, one task per non-identity
+cycle type, ahead of the prefixes, which follow largest first; the parent
+sums the totals and merges each result as it arrives.  The n=7
+verification of six jobs takes about 0.12 s at one worker and 0.13 s at
+two (benchmark medians, 2-core Xeon, Python 3.11): at two, starting the
+pool costs what the second worker saves.  All per-family
 collections are sorted before reporting, and violation lists are cut to
 their first entries only after that sort, so report bytes do not depend on
 the worker count.
@@ -65,7 +73,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb, factorial
 from multiprocessing import get_context
-from operator import add, or_
+from operator import add, and_, or_
 from typing import Callable, Iterator, Sequence
 
 from .coeffs import coeff_table
@@ -97,8 +105,10 @@ _VIOLATION_CAP = 1000
 _ENUMERATION_PREFIXES = 256  # the largest holds 5.6% of the n=7 families
 # _KeyWalk collects the families of subtrees with at most this many undecided
 # pairs from a memo of their completions.  _Pass(7, [(7,6,inf)]), which keeps
-# all 1.42M families, took 2.0-2.8, 1.6-2.3 and 1.5-2.1 s at 2, 3 and 4
-# (three runs each, 2-core Xeon); the n=6 pass of six jobs was fastest at 2 or 3
+# all 1.42M families, took 2.6-3.0, 1.9-2.4, 1.6-2.0 and 1.4-1.8 s at 2, 3, 4
+# and 5 (three to six runs each, 2-core Xeon), but the collection of the
+# six-job n=7 pass, the common case, took 12.6, 11.8, 12.6 and 13.7 ms (medians
+# of nine), and the n=6 one was fastest at 2 to 4
 _MEMO_PAIRS = 3
 
 CHECK_REMOVED_LAYER = "removed-layer"
@@ -153,18 +163,49 @@ def _tables(n: int) -> _Tables:
 
 
 def _walk_steps(n: int, decisions) -> tuple:
-    """A pair system as _KeyWalk walks it: per decision (bit, outcomes), each
-    outcome as the closure it takes in and the mask of the items it leaves
-    undecided.  An outcome whose own closures meet is dropped, and that is
-    the only conflict a branch can meet: in is an up-set and out a down-set,
-    both unions of items, so an undecided item's closures cannot meet them.
-    The subset system drops nothing; an orbit system drops the outcomes of
-    orbits that hold two disjoint subsets.
+    """A pair system as _KeyWalk walks it, in the order of _frontier_order."""
+    return _frontier_order(_decision_steps(n, decisions))
+
+
+def _decision_steps(n: int, decisions) -> tuple:
+    """A pair system's steps in decision order: per decision (bit, outcomes),
+    each outcome as the closure it takes in and the mask of the items it
+    leaves undecided.  An outcome whose own closures meet is dropped, and
+    that is the only conflict a branch can meet: in is an up-set and out a
+    down-set, both unions of items, so an undecided item's closures cannot
+    meet them.  The subset system drops nothing; an orbit system drops the
+    outcomes of orbits that hold two disjoint subsets.
     """
     proper = (1 << ((1 << n) - 1)) - 2
     return tuple((bit, tuple((add_in, proper ^ (add_in | add_out))
                              for add_in, add_out in outcomes if not add_in & add_out))
                  for bit, outcomes in decisions)
+
+
+def _frontier_order(steps: tuple) -> tuple:
+    """steps reordered so that few undecided pairs border the decided ones.
+
+    Pair j is adjacent to pair i when some outcome of i decides j, and the
+    boundary of a set of decided pairs is the undecided pairs adjacent to
+    one of them.  Only a boundary pair can be decided on one path and not
+    on another, so the boundary bounds how many undecided sets the walk
+    meets after those pairs.  The order is greedy: each next pair is the
+    one that leaves the smallest boundary, ties by position in steps
+    (Kawahara et al., frontier-based search, IEICE Trans. 2017).
+    """
+    bits = [bit for bit, _ in steps]
+    adjacent = []
+    for _, outcomes in steps:
+        decides = ~reduce(and_, (rest for _, rest in outcomes), -1)
+        adjacent.append(sum(1 << j for j, bit in enumerate(bits) if bit & decides))
+    order, placed, reach = [], 0, 0
+    for _ in steps:
+        _, i = min((((reach | adjacent[i]) & ~(placed | 1 << i)).bit_count(), i)
+                   for i in range(len(steps)) if not placed >> i & 1)
+        order.append(i)
+        placed |= 1 << i
+        reach |= adjacent[i]
+    return tuple(steps[i] for i in order)
 
 
 class _KeyCodec:
@@ -244,7 +285,9 @@ class _KeyWalk:
     and the bits of the families under keys that keep marks.  With codec
     None every key is 0, so the histogram holds just the leaf count.  steps
     is the pair system walked (see _walk_steps), the subset system by
-    default; the orbit systems are walked the same way.
+    default; the orbit systems are walked the same way.  The walk takes
+    the pairs in steps order, whatever it is, and gives the same histogram
+    and kept families in any order; _walk_steps puts them in frontier order.
 
     No branch conflicts once _walk_steps has dropped the outcomes whose own
     closures meet, so a node's completions depend only on its undecided set
@@ -255,9 +298,12 @@ class _KeyWalk:
     cover masks can send two keys to one); the keys of the members an
     outcome takes in are added through a cache (588 member sets at n=7).
     The U are taken largest first, so a U is complete before it is pushed,
-    and the keys that reach U = 0 are the histogram.  For the n=7 pass of
-    six jobs that is about 90k distinct (U, key) over 34k distinct U, at
-    most 21k of them held at once, where the tree has 1.42M leaves.
+    and the keys that reach U = 0 are the histogram.  The merging depends
+    only on the order of the steps: a U is one set of decided pairs, and
+    the frontier order keeps few pairs whose being decided varies from
+    path to path.  For the n=7 pass of six jobs that is about 49k distinct
+    (U, key) over 12k distinct U, at most 10k of them held at once, where
+    the tree has 1.42M leaves (90k over 34k, 21k at once, in decision order).
 
     The families under kept keys are then collected by a second descent,
     which enters a state only if some kept key of the histogram is still
@@ -277,6 +323,7 @@ class _KeyWalk:
                  keep: Callable[[int], bool] = lambda key: False, steps: tuple | None = None):
         t = _tables(n)
         self.steps = t.steps if steps is None else steps
+        self.decisions = t.decisions  # what a prefix's indices refer to
         self.proper, self.codec, self.keep = (1 << t.full) - 2, codec, keep
         self.low = self.guards = 0
         self.feeds: list[tuple[int, int]] = []  # per field: (its shift, the items that add to it)
@@ -314,7 +361,7 @@ class _KeyWalk:
         return ((key | part) & ~low) | ((key + part) & low)
 
     def _completions(self, idx: int, undecided: int) -> list[tuple[int, int]]:
-        """The completions T of an undecided set, each with its key, in DFS order."""
+        """The completions T of an undecided set, each with its key, in walk order."""
         if not undecided:
             return [(0, 0)]
         steps, plus = self.steps, self._plus
@@ -327,11 +374,16 @@ class _KeyWalk:
         return out
 
     def histogram(self, prefix=()) -> tuple[Counter, dict[int, list[int]]]:
-        steps = self.steps
+        """The key histogram below prefix, and the families under kept keys.
+
+        prefix holds (decision index, outcome index) pairs of the subset
+        system, as _split_prefixes gives them; it is replayed through the
+        decisions, and the pairs it leaves undecided are walked in steps order.
+        """
         undecided, fam = self.proper, 0
         for idx, v in prefix:
-            add_in, rest = steps[idx][1][v]
-            undecided &= rest
+            add_in, add_out = self.decisions[idx][1][v]
+            undecided &= ~(add_in | add_out)
             fam |= add_in
         key = self._plus(0, fam)
         hist = self._count(undecided, key)
@@ -834,23 +886,27 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     empty when the jobs have no windows).
 
     With several workers each worker process builds one _Pass and keeps it
-    for the pool's lifetime.  The tree is split into about 16 prefixes per
+    for the pool's lifetime.  The tree is split into about 8 prefixes per
     worker, and each non-identity cycle type is one more task.  More
     prefixes balance better but recount more, since a prefix recounts the
-    states it shares with others: the n=7 pass of six jobs over 1, 16, 32,
-    64 and 128 prefixes took 0.11, 0.12, 0.13, 0.20 and 0.20 s in one
-    process, and below 32 prefixes one of them holds most of the work (at
-    16, 0.10 s), so 16 per worker is the fewest that keeps two workers
-    balanced (2-core Xeon).  The cycle types go first, then the prefixes
-    largest first, one task at a time.  Each result is
-    merged as it arrives, so the parent holds one result at a time.
+    states it shares with others: the n=7 pass of six jobs over 1, 8, 16, 32
+    and 64 prefixes took 0.087, 0.089, 0.096, 0.107 and 0.126 s in one
+    process, the largest prefix 0.087, 0.088, 0.069, 0.019 and 0.006 s.  At
+    two workers, 4, 8 and 16 prefixes per worker gave the pass in 0.13,
+    0.11 and 0.11 s of wall time for 0.14, 0.16 and 0.19 s of CPU (medians
+    of 21 runs, 2-core Xeon), and 32 per worker 0.13 s for 0.24 s: from 8
+    per worker the orbit tasks and the small prefixes keep the second busy
+    while the first counts the largest prefix, and more prefixes only add
+    CPU.  The cycle types go first, then the prefixes largest first, one
+    task at a time.  Each result is merged as it arrives, so the parent
+    holds one result at a time.
     """
     windows = _key_layout(jobs)[0]
     if workers == 1:
         hist, kept = _Pass(n, jobs)()
         return hist, kept, _burnside_nonidentity(n, windows) if windows else []
     tasks = [("orbits", perm, size) for perm, size in _nonidentity_types(n)] if windows else []
-    tasks += [("prefix", prefix) for prefix in _split_prefixes(n, 16 * workers)]
+    tasks += [("prefix", prefix) for prefix in _split_prefixes(n, 8 * workers)]
     hist: Counter = Counter()
     kept: dict[tuple, list[int]] = {}
     nonidentity = [0] * (1 + len(windows)) if windows else []

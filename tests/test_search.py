@@ -586,6 +586,91 @@ def test_walk_equals_leaf_by_leaf_under_every_cell(n, marks):
         assert _merged(parts) == expected
 
 
+def _step_orders(steps):
+    """A pair system's steps in decision order, in the walk's frontier order
+    and in reversed decision order; checks that the frontier order is a
+    permutation of steps and the same on every call."""
+    frontier = search._frontier_order(steps)
+    assert len(frontier) == len(steps) and Counter(frontier) == Counter(steps)
+    assert search._frontier_order(steps) == frontier
+    return steps, frontier, steps[::-1]
+
+
+def _sorted_kept(kept):
+    return {key: sorted(fams) for key, fams in kept.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_walk_is_independent_of_the_step_order(n):
+    jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
+    state = search._Pass(n, jobs)
+    steps = search._decision_steps(n, search._tables(n).decisions)
+    orders = _step_orders(steps)
+    assert search._tables(n).steps == orders[1]
+    if n >= 4:
+        assert orders[1] != steps  # the orders really differ
+    results = []
+    for order in orders:
+        hist, kept = search._KeyWalk(n, state.codec, state.keep, steps=order).histogram()
+        results.append((hist, _sorted_kept(kept)))
+    assert sum(results[0][0].values()) == MAXIMAL_COUNTS[n]
+    assert results[0][1] or n < 4
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_orbit_walk_is_independent_of_the_step_order(n):
+    """Every non-identity cycle type, with every key kept so that the
+    invariant families themselves are compared too."""
+    windows = search._key_layout([(search.THEOREM, p) for p in _admissible_cells(n)])[0]
+    codec = search._key_codec(n, windows, ())
+    walked = 0
+    for perm, _ in search._nonidentity_types(n):
+        system = search._orbit_system(n, perm)
+        if system is None:
+            continue
+        results = []
+        for order in _step_orders(search._decision_steps(n, system)):
+            hist, kept = search._KeyWalk(n, codec, lambda key: True, steps=order).histogram()
+            results.append((hist, _sorted_kept(kept)))
+        assert results[0] == results[1] == results[2], perm
+        walked += 1
+    assert walked or n < 3
+
+
+@pytest.mark.parametrize("target", [1, 7, 32])
+def test_prefix_walks_partition_the_root_walk(target):
+    """The prefixes are in decision indices while the walk is in frontier
+    order: replayed through the decisions, their histograms sum to the
+    root's and their families, each under its prefix, partition the root's."""
+    n = 6
+    jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
+    layout = search._key_layout(jobs)
+    decisions = search._tables(n).decisions
+    for keep in (lambda key: True,
+                 lambda key: any(search._findings(job, key, layout) for job in jobs)):
+        state = search._Pass(n, jobs)
+        walk = search._KeyWalk(n, state.codec, lambda key: keep(state.decode(key)))
+        root_hist, root_kept = walk.histogram()
+        prefixes = search._split_prefixes(n, target)
+        assert len(prefixes) == target
+        hist, kept = Counter(), {}
+        for prefix in prefixes:
+            fin = fout = 0
+            for idx, v in prefix:
+                add_in, add_out = decisions[idx][1][v]
+                fin, fout = fin | add_in, fout | add_out
+            sub_hist, sub_kept = walk.histogram(prefix)
+            assert sum(sub_hist.values()) == search._dfs_subsets(n, lambda bits: None, prefix)
+            hist.update(sub_hist)
+            for key, fams in sub_kept.items():
+                assert all(fam & fin == fin and not fam & fout for fam in fams), prefix
+                kept.setdefault(key, []).extend(fams)
+        assert hist == root_hist
+        assert _sorted_kept(kept) == _sorted_kept(root_kept)
+    assert sum(map(len, root_kept.values())) > 0
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_pool_counts_orbits_in_its_workers(monkeypatch, n):
     jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
