@@ -46,35 +46,31 @@ transpositions, and each class is encoded once per process through its
 least member, so theorem cells that share an achiever orbit share its
 encoding.
 
-Work splits across processes by partitioning the decision tree into about 8
-prefixes per worker, taken in decision order; the walk below a prefix
-replays it and goes on in its own order.  The tree is lopsided, so the
-prefix with the most undecided pairs is always split next.  Each worker
-process builds the pass state once (the key codec, the verdicts on keys and
-the memo over U with its verdicts) and keeps it for every prefix it is
-given.  The orbit counting runs in the same pool, one task per non-identity
-cycle type, ahead of the prefixes, which follow largest first; the parent
-sums the totals and merges each result as it arrives.  The n=7
-verification of six jobs takes about 0.12 s at one worker and 0.13 s at
-two (benchmark medians, 2-core Xeon, Python 3.11): at two, starting the
-pool costs what the second worker saves.  All per-family
-collections are sorted before reporting, and violation lists are cut to
-their first entries only after that sort, so report bytes do not depend on
-the worker count.
+A pass is one list of tasks: the whole tree's key histogram with its kept
+families, then the invariant-family totals of each non-identity cycle type.
+With one worker the list runs in the calling process; with more, a pool of
+that many processes, never more than there are tasks, takes the tasks in
+order, the tree first, and the parent sums the orbit totals.  The tree stays
+one task because its walk merges states across the whole tree: a subtree
+walked on its own would recount the undecided sets it shares with the
+others.  The n=7 verification of six jobs takes about 0.1 s at one
+worker and 0.12 s at two, for 0.15 s of CPU (benchmark medians, 2-core
+Xeon, Python 3.11): starting the pool costs what the second worker saves.
+All per-family collections are sorted before reporting, and violation lists
+are cut to their first entries only after that sort, so report bytes do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
-import heapq
-import sys
 import time
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import comb, factorial
 from multiprocessing import get_context
-from operator import add, and_, or_
-from typing import Callable, Iterator, Sequence
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coeffs import coeff_table
 from .families import hm_size
@@ -102,7 +98,6 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_ORACLE_VERTEX_CAP = 120
 _VIOLATION_CAP = 1000
-_ENUMERATION_PREFIXES = 256  # the largest holds 5.6% of the n=7 families
 # _KeyWalk collects the families of subtrees with at most this many undecided
 # pairs from a memo of their completions.  _Pass(7, [(7,6,inf)]), which keeps
 # all 1.42M families, took 2.6-3.0, 1.9-2.4, 1.6-2.0 and 1.4-1.8 s at 2, 3, 4
@@ -281,8 +276,8 @@ def _key_codec(n: int, windows: tuple, removed: tuple) -> _KeyCodec:
 
 
 class _KeyWalk:
-    """The packed keys of the maximal families on [n] below a prefix, counted,
-    and the bits of the families under keys that keep marks.  With codec
+    """The packed keys of the maximal families on [n], counted, and the
+    bits of the families under keys that keep marks.  With codec
     None every key is 0, so the histogram holds just the leaf count.  steps
     is the pair system walked (see _walk_steps), the subset system by
     default; the orbit systems are walked the same way.  The walk takes
@@ -313,17 +308,12 @@ class _KeyWalk:
     undecided, the descent takes the completions of U, with their keys, from
     a memo over U, together with the exact verdict per (key, U): whether a
     completion gives a kept key.
-
-    The memo over U, its verdicts and the cached keys hold for the whole
-    tree, so one walk serves every prefix it is given, in any order; a call
-    owns only its keys per U, its reach verdicts and its kept families.
     """
 
     def __init__(self, n: int, codec: _KeyCodec | None = None,
                  keep: Callable[[int], bool] = lambda key: False, steps: tuple | None = None):
         t = _tables(n)
         self.steps = t.steps if steps is None else steps
-        self.decisions = t.decisions  # what a prefix's indices refer to
         self.proper, self.codec, self.keep = (1 << t.full) - 2, codec, keep
         self.low = self.guards = 0
         self.feeds: list[tuple[int, int]] = []  # per field: (its shift, the items that add to it)
@@ -331,9 +321,6 @@ class _KeyWalk:
             self.low, self.guards = codec.low, codec.guards
             self.feeds = [(shift, sum(1 << x for x in range(1, t.full) if codec.add[x] >> shift & mask))
                           for shift, mask in codec.fields]
-        # U -> (its completions with their keys; per node key met with U,
-        # whether a completion gives a kept key)
-        self.memo: dict[int, tuple[list, dict[int, bool]]] = {}
         # a member set taken in at once -> its key as (cover masks, fields)
         self.deltas: dict[int, tuple[int, int]] = {}
 
@@ -373,29 +360,18 @@ class _KeyWalk:
             out += [(new | t, plus(part, new)) for t, part in self._completions(idx + 1, undecided & rest)]
         return out
 
-    def histogram(self, prefix=()) -> tuple[Counter, dict[int, list[int]]]:
-        """The key histogram below prefix, and the families under kept keys.
-
-        prefix holds (decision index, outcome index) pairs of the subset
-        system, as _split_prefixes gives them; it is replayed through the
-        decisions, and the pairs it leaves undecided are walked in steps order.
-        """
-        undecided, fam = self.proper, 0
-        for idx, v in prefix:
-            add_in, add_out = self.decisions[idx][1][v]
-            undecided &= ~(add_in | add_out)
-            fam |= add_in
-        key = self._plus(0, fam)
-        hist = self._count(undecided, key)
+    def histogram(self) -> tuple[Counter, dict[int, list[int]]]:
+        """The key histogram, and the families under kept keys."""
+        hist = self._count()
         targets = [k for k in hist if self.keep(k)]
-        return hist, self._collect(undecided, fam, key, targets) if targets else {}
+        return hist, self._collect(targets) if targets else {}
 
-    def _count(self, undecided: int, key: int) -> Counter:
+    def _count(self) -> Counter:
         steps, deltas, delta = self.steps, self.deltas, self._delta
         # per number of undecided items: U -> [a step index at or before
         # U's first undecided decision, {node key: paths}]
-        levels: list = [{} for _ in range(undecided.bit_count() + 1)]
-        levels[-1][undecided] = [0, {key: 1}]
+        levels: list = [{} for _ in range(self.proper.bit_count() + 1)]
+        levels[-1][self.proper] = [0, {0: 1}]
         for size in range(len(levels) - 1, 0, -1):
             for u, (idx, keys) in levels[size].items():
                 while not steps[idx][0] & u:
@@ -415,19 +391,20 @@ class _KeyWalk:
             levels[size] = None
         return Counter(levels[0][0][1]) if levels[0] else Counter()
 
-    def _collect(self, undecided: int, fam: int, key: int, targets: list[int]
-                 ) -> dict[int, list[int]]:
-        """The families below a state under the keys targets that keep
-        marks.  A state (U, key) is entered only if some target is still
-        reachable from it, which is memoised per (U, key) for the call; the
-        fields are compared all at once, since with the guard bits set in
-        the minuend a field's guard survives the subtraction iff that field
-        did not go negative."""
-        steps, memo, keep, plus, join = self.steps, self.memo, self.keep, self._plus, self._join
+    def _collect(self, targets: list[int]) -> dict[int, list[int]]:
+        """The families under the keys targets that keep marks.  A state
+        (U, key) is entered only if some target is still reachable from it,
+        which is memoised per (U, key) for the call; the fields are compared
+        all at once, since with the guard bits set in the minuend a field's
+        guard survives the subtraction iff that field did not go negative."""
+        steps, keep, plus, join = self.steps, self.keep, self._plus, self._join
         low, guards, feeds = self.low, self.guards, self.feeds
         limit = 2 * _MEMO_PAIRS
         lifted = [(t & low | guards, t) for t in targets]
         reachable: dict[tuple[int, int], bool] = {}
+        # U -> (its completions with their keys; per node key met with U,
+        # whether a completion gives a kept key)
+        memo: dict[int, tuple[list, dict[int, bool]]] = {}
         kept: dict[int, list[int]] = defaultdict(list)
 
         def descend(idx: int, u: int, fam: int, key: int) -> None:
@@ -462,13 +439,13 @@ class _KeyWalk:
                 new = add_in & u
                 descend(idx + 1, u & rest, fam | new, plus(key, new))
 
-        descend(0, undecided, fam, key)
+        descend(0, self.proper, 0, 0)
         del descend  # it refers to itself; break the cycle so this call's state goes now
         return kept
 
 
-def _dfs(decisions, on_leaf, prefix=()) -> int:
-    """Enumerate all completions of a pair system; returns the leaf count.
+def _dfs(decisions) -> Iterator[int]:
+    """Yield every completion of a pair system, depth first.
 
     The state is the pair (in, out) of family bitsets of the items decided
     in and out.  decisions lists one (bit, outcomes) per complementary pair
@@ -478,75 +455,30 @@ def _dfs(decisions, on_leaf, prefix=()) -> int:
     family is its in.  In the subset system every branch is consistent (in
     is an up-set and out a down-set, so an undecided pair can go either
     way); conflicts arise in the orbit systems, whose orbits can hold two
-    disjoint subsets.  prefix, a sequence of (decision index, outcome
-    index), is replayed first; an inconsistent prefix contributes nothing.
+    disjoint subsets.  Outcomes are taken in their listed order, the first
+    outcome's subtree before the second's, so the order of the leaves is
+    fixed by decisions alone; the stack holds at most one state per
+    decision level, and no leaf is held once yielded.
 
     Counting goes through _KeyWalk instead; this leaf-by-leaf walk serves
     enumerate_maximal_families, which yields every family, and the tests,
     which use it as the oracle for the walk.
     """
-    floor = len(decisions) + 500
-    if sys.getrecursionlimit() < floor:
-        sys.setrecursionlimit(floor)
-    fin = fout = 0
-    for idx, v in prefix:
-        add_in, add_out = decisions[idx][1][v]
-        fin |= add_in
-        fout |= add_out
-    if fin & fout:
-        return 0
-
-    leaves = 0
     count = len(decisions)
-
-    def rec(idx: int, fin: int, fout: int) -> None:
-        nonlocal leaves
+    stack = [(0, 0, 0)]
+    while stack:
+        idx, fin, fout = stack.pop()
         decided = fin | fout
         while idx < count and decisions[idx][0] & decided:
             idx += 1
         if idx == count:
-            leaves += 1
-            on_leaf(fin)
-            return
-        for add_in, add_out in decisions[idx][1]:
-            child_in = fin | add_in
-            child_out = fout | add_out
-            if not child_in & child_out:
-                rec(idx + 1, child_in, child_out)
-
-    rec(0, fin, fout)
-    del rec  # rec refers to itself; break that cycle so on_leaf is released now
-    return leaves
-
-
-def _dfs_subsets(n: int, on_leaf, prefix=()) -> int:
-    return _dfs(_tables(n).decisions, on_leaf, prefix)
-
-
-def _split_prefixes(n: int, target: int) -> list[tuple]:
-    """Partition the decision tree into about `target` consistent prefixes.
-
-    The prefix with the most undecided complementary pairs, the estimate of
-    its subtree's size, is split next, until there are `target` prefixes or
-    every prefix is a leaf.  The tree is lopsided (deciding a singleton as a
-    member closes a whole star in one leaf), so splitting by depth would
-    leave most leaves under one prefix.  Returned largest estimate first, ties in DFS order;
-    DFS order itself is the sorted order, since siblings differ only in
-    (i, 0) against (i, 1).
-    """
-    decisions = _tables(n).decisions
-    pairs = len(decisions)
-    heap = [(-pairs, (), 0, 0)]
-    while len(heap) < target and heap[0][0] < 0:
-        _, pre, fin, fout = heapq.heappop(heap)
-        decided = fin | fout
-        idx = next(i for i, (bit, _) in enumerate(decisions) if not bit & decided)
-        for v, (add_in, add_out) in enumerate(decisions[idx][1]):
+            yield fin
+            continue
+        # pushed last outcome first, so that the first is walked first
+        for add_in, add_out in reversed(decisions[idx][1]):
             child_in, child_out = fin | add_in, fout | add_out
             if not child_in & child_out:
-                undecided = pairs - (child_in | child_out).bit_count() // 2
-                heapq.heappush(heap, (-undecided, pre + ((idx, v),), child_in, child_out))
-    return [pre for _, pre, _, _ in sorted(heap)]
+                stack.append((idx + 1, child_in, child_out))
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +571,12 @@ def _cycle_type_totals(n: int, windows: Sequence[tuple[int, int]],
     return totals
 
 
-def _burnside_nonidentity(n: int, windows: Sequence[tuple[int, int]]) -> list[int]:
-    """Sum over non-identity cycle types of class_size * invariant-family count:
-    first over all invariant families, then over those qualifying for each window."""
-    totals = [0] * (1 + len(windows))
-    for perm, class_size in _nonidentity_types(n):
-        totals = list(map(add, totals, _cycle_type_totals(n, windows, perm, class_size)))
-    return totals
+def _nonidentity_sum(totals: Iterable[list[int]]) -> list[int]:
+    """The _cycle_type_totals of the non-identity cycle types summed entry by
+    entry: the orbit-counting lemma's sum over those types of class_size *
+    invariant-family count, first over all invariant families, then over
+    those qualifying for each window."""
+    return [sum(column) for column in zip(*totals)]
 
 
 def count_maximal_families(n: int, cap_override: bool = False) -> int:
@@ -657,7 +588,9 @@ def count_maximal_families(n: int, cap_override: bool = False) -> int:
 def count_iso_classes(n: int, cap_override: bool = False) -> int:
     """Number of isomorphism classes of maximal intersecting families on [n]."""
     identity = count_maximal_families(n, cap_override)
-    return _orbit_count(n, identity + _burnside_nonidentity(n, ())[0])
+    nonidentity = _nonidentity_sum(_cycle_type_totals(n, (), *cycle_type)
+                                   for cycle_type in _nonidentity_types(n))
+    return _orbit_count(n, identity + nonidentity[0])
 
 
 def _orbit_count(n: int, burnside_total: int) -> int:
@@ -682,26 +615,19 @@ def enumerate_maximal_families(n: int, up_to_iso: bool = False,
     """Yield every maximal intersecting family on [n] exactly once.
 
     With up_to_iso, yield the first-enumerated representative of each
-    isomorphism class instead.  Enumeration order is the decision order of the
-    pair search and is stable across runs.  The tree is walked one split
-    prefix at a time, in DFS order, so at most one prefix's families are
-    held at once.
+    isomorphism class instead.  Enumeration order is the depth-first order
+    of the pair search in decision order and is stable across runs.  Each
+    family is yielded as the walk reaches it; the walk keeps none.
     """
     _check_cap(n, cap_override)
-
-    def walk() -> Iterator[int]:
-        for prefix in sorted(_split_prefixes(n, _ENUMERATION_PREFIXES)):
-            collected: list[int] = []
-            _dfs_subsets(n, collected.append, prefix)
-            yield from collected
-
+    leaves = _dfs(_tables(n).decisions)
     if not up_to_iso:
-        for bits in walk():
+        for bits in leaves:
             yield SetFamily(n=n, bits=bits)
         return
     # every relabelling of a maximal family is maximal, hence enumerated once
     claimed: set[int] = set()
-    for bits in walk():
+    for bits in leaves:
         if bits in claimed:
             claimed.remove(bits)
             continue
@@ -821,11 +747,11 @@ def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple]
 
 
 class _Pass:
-    """One process's share of an enumeration pass over jobs: the key codec,
+    """The whole-tree part of an enumeration pass over jobs: the key codec,
     whether each key is interesting (decided the first time it is seen) and
-    a key walk, all kept across the prefixes the process is given.  Calling
-    it with a prefix gives the key histogram below that prefix and the
-    families under interesting keys, both keyed by decoded key.
+    the key walk.  Calling it gives the key histogram of the maximal
+    families on [n] and the families under interesting keys, both keyed by
+    decoded key.
     """
 
     def __init__(self, n: int, jobs: Sequence[tuple[str, Params]]):
@@ -850,8 +776,8 @@ class _Pass:
                 _findings(job, decoded, self.layout) for job in self.jobs)
         return verdict
 
-    def __call__(self, prefix=()) -> tuple[Counter, dict[tuple, list[int]]]:
-        packed, packed_kept = self.walk.histogram(prefix)
+    def __call__(self) -> tuple[Counter, dict[tuple, list[int]]]:
+        packed, packed_kept = self.walk.histogram()
         hist: Counter = Counter()
         kept: dict[tuple, list[int]] = {}
         for key, count in packed.items():
@@ -861,66 +787,41 @@ class _Pass:
         return hist, kept
 
 
-_worker_pass: _Pass | None = None  # a pool worker's pass state, built by _start_worker
-
-
-def _start_worker(n: int, jobs: tuple) -> None:
-    global _worker_pass
-    _worker_pass = _Pass(n, jobs)
-
-
-def _pool_task(task: tuple):
-    """One task of a pooled pass, run in a worker: ("prefix", prefix) gives
-    the pass below that prefix, ("orbits", perm, class_size) the weighted
-    invariant-family totals of one non-identity cycle type."""
-    if task[0] == "orbits":
-        return _cycle_type_totals(_worker_pass.n, _worker_pass.layout[0], *task[1:])
-    return _worker_pass(task[1])
+def _pass_task(n: int, jobs: tuple, cycle_type: tuple | None):
+    """One task of a pass over jobs, run in whichever process maps it: for
+    cycle_type None the whole tree (see _Pass), otherwise, for cycle_type
+    (perm, class_size), that type's weighted invariant-family totals per
+    window of the jobs (see _cycle_type_totals)."""
+    if cycle_type is None:
+        return _Pass(n, jobs)()
+    return _cycle_type_totals(n, _key_layout(jobs)[0], *cycle_type)
 
 
 def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
               ) -> tuple[Counter, dict[tuple, list[int]], list[int]]:
     """One enumeration pass: the key histogram of the maximal families on [n],
     the bits of the families under interesting keys, and the orbit-counting
-    totals over the non-identity cycle types (see _burnside_nonidentity;
-    empty when the jobs have no windows).
+    totals over the non-identity cycle types (see _nonidentity_sum; empty
+    when the jobs have no windows).
 
-    With several workers each worker process builds one _Pass and keeps it
-    for the pool's lifetime.  The tree is split into about 8 prefixes per
-    worker, and each non-identity cycle type is one more task.  More
-    prefixes balance better but recount more, since a prefix recounts the
-    states it shares with others: the n=7 pass of six jobs over 1, 8, 16, 32
-    and 64 prefixes took 0.087, 0.089, 0.096, 0.107 and 0.126 s in one
-    process, the largest prefix 0.087, 0.088, 0.069, 0.019 and 0.006 s.  At
-    two workers, 4, 8 and 16 prefixes per worker gave the pass in 0.13,
-    0.11 and 0.11 s of wall time for 0.14, 0.16 and 0.19 s of CPU (medians
-    of 21 runs, 2-core Xeon), and 32 per worker 0.13 s for 0.24 s: from 8
-    per worker the orbit tasks and the small prefixes keep the second busy
-    while the first counts the largest prefix, and more prefixes only add
-    CPU.  The cycle types go first, then the prefixes largest first, one
-    task at a time.  Each result is merged as it arrives, so the parent
-    holds one result at a time.
+    The tasks are the whole tree, then one per non-identity cycle type,
+    those with the most cycles first.  With one worker they run in this
+    process; otherwise a pool of at most that many processes, and no more
+    than there are tasks, takes them one at a time in that order, so the
+    tree, by far the largest, starts first and the second worker takes the
+    cycle types meanwhile.
     """
-    windows = _key_layout(jobs)[0]
-    if workers == 1:
-        hist, kept = _Pass(n, jobs)()
-        return hist, kept, _burnside_nonidentity(n, windows) if windows else []
-    tasks = [("orbits", perm, size) for perm, size in _nonidentity_types(n)] if windows else []
-    tasks += [("prefix", prefix) for prefix in _split_prefixes(n, 8 * workers)]
-    hist: Counter = Counter()
-    kept: dict[tuple, list[int]] = {}
-    nonidentity = [0] * (1 + len(windows)) if windows else []
-    with get_context().Pool(processes=min(workers, len(tasks)), initializer=_start_worker,
-                            initargs=(n, tuple(jobs))) as pool:
-        for task, result in zip(tasks, pool.imap(_pool_task, tasks, chunksize=1)):
-            if task[0] == "orbits":
-                nonidentity = list(map(add, nonidentity, result))
-                continue
-            sub_hist, sub_kept = result
-            hist.update(sub_hist)
-            for key, fams in sub_kept.items():
-                kept.setdefault(key, []).extend(fams)
-    return hist, kept, nonidentity
+    jobs = tuple(jobs)
+    tasks = [None, *(_nonidentity_types(n) if _key_layout(jobs)[0] else ())]
+    task = partial(_pass_task, n, jobs)
+    processes = min(workers, len(tasks))
+    if processes == 1:
+        results = list(map(task, tasks))
+    else:
+        with get_context().Pool(processes) as pool:
+            results = list(pool.imap(task, tasks))
+    (hist, kept), *orbit_totals = results
+    return hist, kept, _nonidentity_sum(orbit_totals)
 
 
 def _tally(job: tuple[str, Params], hist: Counter, kept: dict, layout: tuple

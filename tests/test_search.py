@@ -92,9 +92,7 @@ def test_orbit_systems_yield_exactly_the_fixed_families(n):
         image = [search._permute_mask(x, perm, n) for x in range(1 << n)]
         fixed = sorted(bits for bits in families if _fixes(bits, image))
         system = search._orbit_system(n, perm)
-        leaves = []
-        if system is not None:
-            assert search._dfs(system, leaves.append) == len(leaves)
+        leaves = [] if system is None else list(search._dfs(system))
         assert sorted(leaves) == fixed, perm
 
 
@@ -108,16 +106,7 @@ def test_up_to_iso_matches_class_count(n):
 
 
 def _one_dfs(n):
-    out = []
-    search._dfs_subsets(n, out.append)
-    return out
-
-
-@pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize("prefixes", [2, 16, 256])
-def test_enumeration_order_is_one_dfs(monkeypatch, n, prefixes):
-    monkeypatch.setattr(search, "_ENUMERATION_PREFIXES", prefixes)
-    assert [f.bits for f in enumerate_maximal_families(n)] == _one_dfs(n)
+    return list(search._dfs(search._tables(n).decisions))
 
 
 @pytest.mark.parametrize("up_to_iso, count, digest", [
@@ -142,29 +131,6 @@ def test_up_to_iso_yields_first_member_of_each_class_n6():
             expected.append(bits)
     assert len(expected) == 30
     assert [f.bits for f in enumerate_maximal_families(6, up_to_iso=True)] == expected
-
-
-@pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize("target", [2, 16, 128])
-def test_split_prefixes_partition_the_tree(n, target):
-    prefixes = search._split_prefixes(n, target)
-    assert prefixes == search._split_prefixes(n, target)
-    assert len(prefixes) == min(target, MAXIMAL_COUNTS[n])
-    decisions = search._tables(n).decisions
-    for prefix in prefixes:
-        fin = fout = 0
-        for idx, v in prefix:
-            add_in, add_out = decisions[idx][1][v]
-            fin, fout = fin | add_in, fout | add_out
-            assert not fin & fout
-    as_set = set(prefixes)
-    assert len(as_set) == len(prefixes)
-    for prefix in prefixes:
-        assert not any(prefix[:i] in as_set for i in range(len(prefix)))
-    leaves = [search._dfs_subsets(n, lambda bits: None, prefix) for prefix in prefixes]
-    assert sum(leaves) == MAXIMAL_COUNTS[n]
-    if (n, target) == (6, 128):
-        assert max(leaves) <= 0.1 * MAXIMAL_COUNTS[n]
 
 
 def test_iso_classes_match_canonical_dedup():
@@ -245,40 +211,45 @@ def test_achiever_classes_reject_a_broken_orbit():
         search._achiever_classes(5, [b for b in achievers if b != victim])
 
 
-def _off_by_one_burnside(monkeypatch):
-    original = search._burnside_nonidentity
-    monkeypatch.setattr(search, "_burnside_nonidentity",
-                        lambda n, qualifiers: [t + 1 for t in original(n, qualifiers)])
+# a patch of the module reaches pool workers only if they are forked
+FORKED_WORKERS = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
 
 
 def test_burnside_divisibility_raises(monkeypatch):
-    _off_by_one_burnside(monkeypatch)
+    original = search._cycle_type_totals
+    monkeypatch.setattr(search, "_cycle_type_totals",
+                        lambda *args: [t + 1 for t in original(*args)])
     with pytest.raises(InvariantError):
         count_iso_classes(4)
-    with pytest.raises(InvariantError):
-        run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)])
+    for workers in FORKED_WORKERS:
+        with pytest.raises(InvariantError):
+            run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
 
 
 def test_burnside_divisibility_raises_under_optimize():
     script = """
-import sys
+import multiprocessing, sys
 from msfam import InvariantError, Params, UNBOUNDED, count_iso_classes, run_verification, search
-original = search._burnside_nonidentity
-search._burnside_nonidentity = lambda n, qs: [t + 1 for t in original(n, qs)]
+original = search._cycle_type_totals
+search._cycle_type_totals = lambda *args: [t + 1 for t in original(*args)]
+workers = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+calls = [lambda: count_iso_classes(4)]
+calls += [lambda w=w: run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=w)
+          for w in workers]
 caught = 0
-for call in (lambda: count_iso_classes(4),
-             lambda: run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)])):
+for call in calls:
     try:
         call()
     except InvariantError:
         caught += 1
-print(sys.flags.optimize, caught)
+print(sys.flags.optimize, caught, 1 + len(workers))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["1", "2"]
+    optimize, caught, calls = out.stdout.split()
+    assert optimize == "1" and caught == calls == str(1 + len(FORKED_WORKERS))
 
 
 def test_enumeration_cap():
@@ -518,35 +489,13 @@ def test_pass_equals_leaf_by_leaf_histogram(n):
     assert len(jobs) >= 8
     hist, kept = _leaf_by_leaf(n, jobs)
     assert sum(hist.values()) == MAXIMAL_COUNTS[n]
+    orbit_totals = []
     for workers in (1, 2, 3):
-        got_hist, got_kept, _ = search._run_pass(n, jobs, workers)
+        got_hist, got_kept, got_orbits = search._run_pass(n, jobs, workers)
         assert got_hist == hist, workers
         assert {key: sorted(fams) for key, fams in got_kept.items()} == kept, workers
-
-
-def _merged(parts):
-    """Histograms summed and kept lists joined, as the pool's merge should give them."""
-    hist, kept = Counter(), {}
-    for sub_hist, sub_kept in parts:
-        hist.update(sub_hist)
-        for key, fams in sub_kept.items():
-            kept.setdefault(key, []).extend(fams)
-    return hist, {key: sorted(fams) for key, fams in kept.items()}
-
-
-@pytest.mark.parametrize("n", [5, 6])
-def test_one_pass_state_serves_prefixes_in_any_order(n):
-    jobs = _all_cells(n)
-    expected = _leaf_by_leaf(n, jobs)
-    assert _merged([search._run_pass(n, jobs, 1)[:2]]) == expected
-    state = search._Pass(n, jobs)
-    prefixes = sorted(search._split_prefixes(n, 64))  # DFS order
-    memo_sizes = []
-    for order in (prefixes, prefixes[::-1]):
-        assert _merged(state(prefix) for prefix in order) == expected
-        memo_sizes.append(len(state.walk.memo))
-    # the second round meets only undecided sets the first one memoised
-    assert memo_sizes[0] == memo_sizes[1] > 0
+        orbit_totals.append(got_orbits)
+    assert orbit_totals[0] and orbit_totals[0] == orbit_totals[1] == orbit_totals[2]
 
 
 def _admissible_cells(n):
@@ -566,8 +515,7 @@ def _keys_by_definition(n, layout):
 def test_walk_equals_leaf_by_leaf_under_every_cell(n, marks):
     """Every admissible cell's windows at once, so that ORing cover masks
     sends many node keys to one, with the jobs' keep, a keep that marks
-    every key and one that marks none; over the whole tree and over
-    prefixes."""
+    every key and one that marks none."""
     jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
     layout = search._key_layout(jobs)
     keep = {"jobs": lambda key: any(search._findings(job, key, layout) for job in jobs),
@@ -580,10 +528,8 @@ def test_walk_equals_leaf_by_leaf_under_every_cell(n, marks):
     state = search._Pass(n, jobs)
     if marks != "jobs":
         state.walk = search._KeyWalk(n, state.codec, lambda key: keep(state.decode(key)))
-    prefixes = sorted(search._split_prefixes(n, 16))
-    expected = expected_hist, {key: sorted(fams) for key, fams in expected_kept.items()}
-    for parts in ([state()], [state(prefix) for prefix in prefixes]):
-        assert _merged(parts) == expected
+    hist, kept = state()
+    assert (hist, _sorted_kept(kept)) == (expected_hist, _sorted_kept(expected_kept))
 
 
 def _step_orders(steps):
@@ -638,50 +584,20 @@ def test_orbit_walk_is_independent_of_the_step_order(n):
     assert walked or n < 3
 
 
-@pytest.mark.parametrize("target", [1, 7, 32])
-def test_prefix_walks_partition_the_root_walk(target):
-    """The prefixes are in decision indices while the walk is in frontier
-    order: replayed through the decisions, their histograms sum to the
-    root's and their families, each under its prefix, partition the root's."""
-    n = 6
-    jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
-    layout = search._key_layout(jobs)
-    decisions = search._tables(n).decisions
-    for keep in (lambda key: True,
-                 lambda key: any(search._findings(job, key, layout) for job in jobs)):
-        state = search._Pass(n, jobs)
-        walk = search._KeyWalk(n, state.codec, lambda key: keep(state.decode(key)))
-        root_hist, root_kept = walk.histogram()
-        prefixes = search._split_prefixes(n, target)
-        assert len(prefixes) == target
-        hist, kept = Counter(), {}
-        for prefix in prefixes:
-            fin = fout = 0
-            for idx, v in prefix:
-                add_in, add_out = decisions[idx][1][v]
-                fin, fout = fin | add_in, fout | add_out
-            sub_hist, sub_kept = walk.histogram(prefix)
-            assert sum(sub_hist.values()) == search._dfs_subsets(n, lambda bits: None, prefix)
-            hist.update(sub_hist)
-            for key, fams in sub_kept.items():
-                assert all(fam & fin == fin and not fam & fout for fam in fams), prefix
-                kept.setdefault(key, []).extend(fams)
-        assert hist == root_hist
-        assert _sorted_kept(kept) == _sorted_kept(root_kept)
-    assert sum(map(len, root_kept.values())) > 0
-
-
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_pool_counts_orbits_in_its_workers(monkeypatch, n):
     jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
     windows = search._key_layout(jobs)[0]
-    serial = search._burnside_nonidentity(n, windows)
+    serial = search._nonidentity_sum(search._cycle_type_totals(n, windows, *cycle_type)
+                                     for cycle_type in search._nonidentity_types(n))
+    original, parent = search._cycle_type_totals, os.getpid()
 
-    def refuse(*args):
-        raise AssertionError("a pooled pass counts orbits in its workers, not in the parent")
-    monkeypatch.setattr(search, "_burnside_nonidentity", refuse)
+    def in_worker(*args):
+        if os.getpid() == parent:
+            raise AssertionError("a pooled pass counts orbits in its workers, not in the parent")
+        return original(*args)
+    monkeypatch.setattr(search, "_cycle_type_totals", in_worker)
     assert search._run_pass(n, jobs, 2)[2] == serial
-    assert search._worker_pass is None  # no pass state is left in the caller
 
 
 def _flags_by_definition(n, windows):
@@ -708,9 +624,7 @@ def test_orbit_walk_equals_leaf_by_leaf_count(n):
     flags = _flags_by_definition(n, windows)
     for perm, size in search._nonidentity_types(n):
         system = search._orbit_system(n, perm)
-        tally = Counter()
-        if system is not None:
-            search._dfs(system, lambda bits: tally.update((flags(bits),)))
+        tally = Counter() if system is None else Counter(map(flags, search._dfs(system)))
         expected = [size * sum(tally.values())]
         expected += [size * sum(c for f, c in tally.items() if f[i]) for i in range(len(windows))]
         assert search._cycle_type_totals(n, windows, perm, size) == expected, perm
@@ -750,8 +664,7 @@ def test_orbit_systems_conflict_only_inside_one_outcome(n):
         assert all(add_in & add_out for add_in, add_out in rejected), perm
         conflicts += len(rejected)
         # so the walk, which never looks at the state, completes to _dfs's leaves
-        leaves = []
-        search._dfs(system, leaves.append)
+        leaves = list(search._dfs(system))
         walk = search._KeyWalk(n, steps=search._walk_steps(n, system))
         assert sorted(t for t, _ in walk._completions(0, proper)) == sorted(leaves), perm
     assert conflicts or n < 4
