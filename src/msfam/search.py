@@ -12,39 +12,40 @@ are precomputed, so a decision is two ORs and a branch is consistent iff in
 and out are disjoint; there is no trail and nothing to undo.  Every leaf is
 a maximal family and every maximal family appears exactly once.
 
-Verification jobs ride along on a single enumeration pass.  The bound and the
-lemmas see a family only through its key: its layer counts, whether its
-valuable part qualifies for a job's window [q, k] (non-empty with empty total
-intersection, which for an up-set depends on layer k alone), and how many
-star members of size n-k it holds.  The pass counts the keys, and keeps the
-family bitset only under a key that some job marks as interesting (an
-achiever, a violation or a rigidity candidate), decided the first time the
-key is seen.  The jobs then run once per distinct key: n=7 has 240 keys
-among its 1.42M families.  No branch of the subset tree conflicts, so a
-node's completions depend only on its set U of undecided subsets, and the
-key of a family adds up over its members.  The pass therefore counts
-top-down over U rather than over the tree: each U pushes its node keys,
-with the number of paths to each, into its children, down to U = 0.  How
-many U it meets depends only on the order in which the pairs are decided,
-so the walk takes its own order, the one the frontier-based search of
-Kawahara et al. uses: each next pair is the one that leaves the fewest
-undecided pairs bordering the decided ones.  At n=7 that is about 12k U
-and 49k (U, key) states (34k and 90k in decision order, which takes the
-singletons first), where the tree has 1.42M leaves.  The families under
-interesting keys are then collected by a descent in the same order that
-enters only the states from which such a key is still reachable, and takes
-the last _MEMO_PAIRS pairs from a memo over U.  Counting the families alone
-uses the same walk.  Isomorphism classes are S_n-orbits under relabelling
-of [n].  Their counts come from the orbit-counting lemma: for each cycle
-type the invariant families are counted by the same walk over a pair
-system whose items are the orbits of subsets under the permutation, an
-orbit's closure being the union of its members' closures.  Such a system
-conflicts only inside one outcome (an orbit holding two disjoint subsets),
-so once those outcomes are dropped its completions too depend on U alone.
-Achievers are grouped into classes by orbit closure under the adjacent
-transpositions, and each class is encoded once per process through its
-least member, so theorem cells that share an achiever orbit share its
-encoding.
+Verification jobs ride along on a single enumeration pass.  The bound and
+the lemmas see a family only through its key: its layer counts and, per size
+k, the elements some k-member avoids.  Those masks say whether its valuable
+part qualifies for a job's window [q, k] (non-empty with empty total
+intersection, which for an up-set depends on layer k alone) and whether the
+star's layer n-k lies wholly inside it (no k-member avoids element 1).  The
+pass counts the keys, and keeps the family bitset only under a key that some
+job marks as interesting (an achiever, a violation or a rigidity candidate),
+decided the first time the key is seen.  The jobs then run once per distinct
+key: the six-job n=7 pass of the benchmark has 91 keys among its 1.42M
+families.  No branch of the subset tree conflicts, so a node's completions
+depend only on its set U of undecided subsets, and the key of a family adds
+up over its members.  The pass therefore counts top-down over U rather than
+over the tree: each U pushes its node keys, with the number of paths to
+each, into its children, down to U = 0.  How many U it meets depends only on
+the order in which the pairs are decided, so the walk takes its own order,
+the one the frontier-based search of Kawahara et al. uses: each next pair
+is the one that leaves the fewest undecided pairs bordering the decided
+ones.  For that n=7 pass it is about 12k U and 26k (U, key) states (34k U in
+decision order, which takes the singletons first), where the tree has 1.42M
+leaves.  The families under interesting keys are then collected by a descent
+in the same order that enters only the states from which such a key is still
+reachable, and takes the last _MEMO_PAIRS pairs from a memo over U.
+Counting the families alone uses the same walk.  Isomorphism classes are
+S_n-orbits under relabelling of [n].  Their counts come from the
+orbit-counting lemma: for each cycle type the invariant families are counted
+by the same walk over a pair system whose items are the orbits of subsets
+under the permutation, an orbit's closure being the union of its members'
+closures.  Such a system conflicts only inside one outcome (an orbit holding
+two disjoint subsets), so once those outcomes are dropped its completions
+too depend on U alone.  Achievers are grouped into classes by orbit closure
+under the adjacent transpositions, and each class is encoded once per
+process through its least member, so theorem cells that share an achiever
+orbit share its encoding.
 
 A pass is one list of tasks: the whole tree's key histogram with its kept
 families, then the invariant-family totals of each non-identity cycle type.
@@ -53,9 +54,9 @@ that many processes, never more than there are tasks, takes the tasks in
 order, the tree first, and the parent sums the orbit totals.  The tree stays
 one task because its walk merges states across the whole tree: a subtree
 walked on its own would recount the undecided sets it shares with the
-others.  The n=7 verification of six jobs takes about 0.1 s at one
-worker and 0.12 s at two, for 0.15 s of CPU (benchmark medians, 2-core
-Xeon, Python 3.11): starting the pool costs what the second worker saves.
+others.  The n=7 verification of six jobs takes 0.06-0.07 s at one worker
+and about 0.09 s at two, for 0.12 s of CPU (benchmark medians, 2-core Xeon,
+Python 3.11): starting the pool costs more than the second worker saves.
 All per-family collections are sorted before reporting, and violation lists
 are cut to their first entries only after that sort, so report bytes do not
 depend on the worker count.
@@ -100,10 +101,10 @@ DEFAULT_ORACLE_VERTEX_CAP = 120
 _VIOLATION_CAP = 1000
 # _KeyWalk collects the families of subtrees with at most this many undecided
 # pairs from a memo of their completions.  _Pass(7, [(7,6,inf)]), which keeps
-# all 1.42M families, took 2.6-3.0, 1.9-2.4, 1.6-2.0 and 1.4-1.8 s at 2, 3, 4
-# and 5 (three to six runs each, 2-core Xeon), but the collection of the
-# six-job n=7 pass, the common case, took 12.6, 11.8, 12.6 and 13.7 ms (medians
-# of nine), and the n=6 one was fastest at 2 to 4
+# all 1.42M families, took 2.4-2.9, 1.8-2.2, 1.3-1.8 and 1.4-1.5 s at 2, 3, 4
+# and 5 (three runs each, 2-core Xeon), but the collection of the six-job n=7
+# pass, the common case, took 6.1, 5.7, 6.1 and 6.4 ms (medians of nine), and
+# that of the six-job n=6 pass 3.8, 3.8, 3.9 and 5.9 ms
 _MEMO_PAIRS = 3
 
 CHECK_REMOVED_LAYER = "removed-layer"
@@ -206,18 +207,20 @@ def _frontier_order(steps: tuple) -> tuple:
 class _KeyCodec:
     """Leaf keys packed into one int: additive fields below, cover masks above.
 
-    The fields count a family's members on each layer l < n/2 and its star
-    members (those holding element 1) on each removed layer; the pair rule
+    The fields count a family's members on each layer l < n/2; the pair rule
     gives the other layers, count[n-l] = C(n, l) - count[l] and, for even n,
-    count[n/2] = C(n, n/2) / 2.  Above the fields sits, per distinct k of the
-    windows, the n-bit mask of the elements some k-member avoids.  The
-    window (q, k) qualifies (its part of the family is non-empty with empty
-    total intersection) iff that mask is full: only layer k matters, since
-    the family is an up-set and k <= n-1, so a member of size in [q, k] that
-    avoids an element lies inside a k-subset avoiding it, which is a member
-    too.  A member x turns key into (key + add[x]) | cov[x], so the key of a
-    disjoint union of member sets is the sum of their fields and the union
-    of their masks.
+    count[n/2] = C(n, n/2) / 2.  Above the fields sits, per distinct size k
+    of the windows and n-s of the removed layers s, the n-bit mask of the
+    elements some k-member avoids.  The window (q, k) qualifies (its part of
+    the family is non-empty with empty total intersection) iff that mask is
+    full: only layer k matters, since the family is an up-set and k <= n-1,
+    so a member of size in [q, k] that avoids an element lies inside a
+    k-subset avoiding it, which is a member too.  The star's layer s (the
+    s-subsets holding element 1) lies wholly inside the family iff bit 0 of
+    the mask for n-s is clear: by the pair rule an s-subset holding 1 is a
+    member iff its complement, an (n-s)-subset avoiding 1, is not.  A member
+    x turns key into (key + add[x]) | cov[x], so the key of a disjoint union
+    of member sets is the sum of their fields and the union of their masks.
     Each field is as wide as its largest possible value, which the
     constructor checks: the contributions of all subsets together must
     decode to exactly those maxima.  One zero guard bit sits above each
@@ -227,9 +230,9 @@ class _KeyCodec:
 
     def __init__(self, n: int, windows: tuple, removed: tuple):
         full = (1 << n) - 1
-        self.n, self.full, self.windows = n, full, windows
+        self.n, self.full, self.windows, self.removed = n, full, windows, removed
         self.layers = range(1, (n + 1) // 2)
-        maxima = [comb(n, l) for l in self.layers] + [comb(n - 1, s - 1) for s in removed]
+        maxima = [comb(n, l) for l in self.layers]
         fields, width, self.guards = [], 0, 0
         for most in maxima:
             fields.append((width, (1 << most.bit_length()) - 1))
@@ -238,18 +241,13 @@ class _KeyCodec:
             width += 1
         self.fields = fields
         self.low = (1 << width) - 1  # the additive fields and their guard bits
-        self.layer_fields = fields[:len(self.layers)]
-        self.star_fields = fields[len(self.layers):]
-        ks = dict.fromkeys(k for _, k in windows)
-        self.cover_shift = {k: width + j * n for j, k in enumerate(ks)}
+        sizes = dict.fromkeys([k for _, k in windows] + [n - s for s in removed])
+        self.cover_shift = {k: width + j * n for j, k in enumerate(sizes)}
         self.add, self.cov = [0] * full, [0] * full
         for x in range(1, full):
             size = x.bit_count()
             if size in self.layers:
-                self.add[x] += 1 << self.layer_fields[size - 1][0]
-            for s, (shift, _) in zip(removed, self.star_fields):
-                if x & 1 and size == s:
-                    self.add[x] += 1 << shift
+                self.add[x] = 1 << fields[size - 1][0]
             if size in self.cover_shift:
                 self.cov[x] = (full ^ x) << self.cover_shift[size]
         total = sum(self.add)
@@ -257,17 +255,18 @@ class _KeyCodec:
             raise InvariantError(f"a packed key field at n={n} is too narrow for its count")
 
     def decode(self, key: int) -> tuple:
-        """The key as (layer counts 0..n, window flags, star counts at the removed layers)."""
-        n, full = self.n, self.full
+        """The key as (layer counts 0..n, window flags, per removed layer s
+        whether the star's layer s lies wholly inside the family)."""
+        n, full, shift = self.n, self.full, self.cover_shift
         counts = [0] * (n + 1)
-        for l, (shift, mask) in zip(self.layers, self.layer_fields):
-            counts[l] = key >> shift & mask
+        for l, (at, mask) in zip(self.layers, self.fields):
+            counts[l] = key >> at & mask
             counts[n - l] = comb(n, l) - counts[l]
         if n % 2 == 0:
             counts[n // 2] = comb(n, n // 2) // 2
-        flags = tuple(key >> self.cover_shift[k] & full == full for _, k in self.windows)
-        stars = tuple(key >> shift & mask for shift, mask in self.star_fields)
-        return tuple(counts), flags, stars
+        flags = tuple(key >> shift[k] & full == full for _, k in self.windows)
+        inside = tuple(not key >> shift[n - s] & 1 for s in self.removed)
+        return tuple(counts), flags, inside
 
 
 @lru_cache(maxsize=None)
@@ -296,9 +295,9 @@ class _KeyWalk:
     and the keys that reach U = 0 are the histogram.  The merging depends
     only on the order of the steps: a U is one set of decided pairs, and
     the frontier order keeps few pairs whose being decided varies from
-    path to path.  For the n=7 pass of six jobs that is about 49k distinct
-    (U, key) over 12k distinct U, at most 10k of them held at once, where
-    the tree has 1.42M leaves (90k over 34k, 21k at once, in decision order).
+    path to path.  For the n=7 pass of six jobs that is about 26k distinct
+    (U, key) over 12k distinct U, at most 8k of them held at once, where
+    the tree has 1.42M leaves (64k over 34k, 25k at once, in decision order).
 
     The families under kept keys are then collected by a second descent,
     which enters a state only if some kept key of the histogram is still
@@ -692,7 +691,7 @@ def uniqueness_condition(p: Params) -> bool:
 THEOREM, LEMMAS = "theorem", "lemmas"
 ACHIEVER, RIGIDITY_CANDIDATE = "achiever", "rigidity-candidate"
 
-_JobConstants = namedtuple("_JobConstants", "coeffs bound v_sizes star_cap")
+_JobConstants = namedtuple("_JobConstants", "coeffs bound v_sizes removed_layer")
 
 
 @lru_cache(maxsize=None)
@@ -701,14 +700,15 @@ def _job_constants(p: Params) -> _JobConstants:
         coeffs=coeff_table(p.k, p.m).values,
         bound=hm_size(p),
         v_sizes=tuple(hm_shadow_layer_size(p, l) for l in range(p.n + 1)),
-        star_cap=comb(p.n - 1, p.n - p.k - 1),
+        removed_layer=p.n - p.k,
     )
 
 
 def _key_layout(jobs: Sequence[tuple[str, Params]]) -> tuple[tuple, tuple]:
     """The windows (q, k) and the removed layers n-k that a pass's keys record, in job order."""
     windows = tuple(dict.fromkeys((p.q, p.k) for _, p in jobs))
-    removed = tuple(dict.fromkeys(p.n - p.k for kind, p in jobs if kind == LEMMAS))
+    removed = tuple(dict.fromkeys(_job_constants(p).removed_layer
+                                  for kind, p in jobs if kind == LEMMAS))
     return windows, removed
 
 
@@ -718,11 +718,13 @@ def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple]
     None when the family does not qualify for the job's window; otherwise
     its findings as (name, *details), empty when it is neither an achiever,
     a violation nor a rigidity candidate.  The key is (layer counts 0..n,
-    window flags, star counts at the removed layers) as laid out by layout.
+    window flags, per removed layer whether the star's layer lies wholly
+    inside the family) as laid out by layout.  A lemma job reports
+    removed-layer-empty when that last flag holds at its removed layer.
     """
     kind, p = job
     windows, removed = layout
-    counts, flags, stars = key
+    counts, flags, inside = key
     if not flags[windows.index((p.q, p.k))]:
         return None
     c = _job_constants(p)
@@ -733,7 +735,7 @@ def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple]
         return [("bound-exceeded", size)] if size > c.bound else []
     v = c.v_sizes
     found = []
-    if stars[removed.index(p.n - p.k)] >= c.star_cap:
+    if inside[removed.index(c.removed_layer)]:
         found.append(("removed-layer-empty",))
     found += [("layer-dominance-failed", l, counts[l])
               for l in range(2, p.w + 1) if counts[l] > v[l]]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache, reduce
+from itertools import combinations
 from math import comb, factorial
 from operator import and_
 
@@ -457,12 +458,19 @@ def test_window_flags_need_only_layer_k(n):
         assert codec.decode(key)[1] == expected, fam.bits
 
 
+def _star_layer_inside(fam, s):
+    """Whether every s-subset of [n] holding element 1 is a member, from member sets."""
+    members = set(fam.member_sets())
+    return all((1, *rest) in members for rest in combinations(range(2, fam.n + 1), s - 1))
+
+
 def _key_by_definition(fam, windows, removed):
-    """(layer counts 0..n, window flags, star counts at the removed layers)."""
+    """(layer counts 0..n, window flags, per removed layer s whether the
+    star's layer s lies wholly inside the family)."""
     sizes = [len(s) for s in fam.member_sets()]
     return (tuple(sizes.count(l) for l in range(fam.n + 1)),
             tuple(_qualifies(_window_part(fam, q, k)) for q, k in windows),
-            tuple(sum(1 for s in fam.member_sets() if len(s) == r and 1 in s) for r in removed))
+            tuple(_star_layer_inside(fam, s) for s in removed))
 
 
 def _leaf_by_leaf(n, jobs):
@@ -685,17 +693,40 @@ def test_key_codec_fields_fit_at_n9():
     n = 9
     windows, removed = search._key_layout(_all_cells(n))
     codec = search._KeyCodec(n, windows, removed)
-    # every subset at once: each field at its maximum, nothing spilling into the next
+    # every subset at once: each field at its maximum, nothing spilling into the next.
+    # This set breaks the pair rule, which the star-layer flags rest on, so
+    # those are checked on the maximal families below instead.
     everything = (1 << ((1 << n) - 1)) - 2
-    counts, flags, stars = codec.decode(_packed_key(codec, everything))
+    counts, flags, _ = codec.decode(_packed_key(codec, everything))
     assert counts[1:(n + 1) // 2] == tuple(comb(n, l) for l in range(1, (n + 1) // 2))
-    assert stars == tuple(comb(n - 1, r - 1) for r in removed)
     assert all(flags)
+    assert codec.decode(_packed_key(codec, build_star(n).bits))[2] == (True,) * len(removed)
     for p in (Params(9, 4, 2), Params(9, 5, UNBOUNDED), Params(9, 7, 3)):
         for fam in (build_star(n), build_hm_shadow(p)):
             assert is_maximal_intersecting_sf(fam)
             assert codec.decode(_packed_key(codec, fam.bits)) == \
                 _key_by_definition(fam, windows, removed)
+        # the lemma's own layer: the shadow leaves part of the star's layer n-k out
+        inside = codec.decode(_packed_key(codec, build_hm_shadow(p).bits))[2]
+        assert not inside[removed.index(n - p.k)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_star_layer_flag_equals_its_definition(n):
+    """The flag read off bit 0 of the cover mask for n-s, against the
+    s-subsets holding 1 looked up among the members, for every maximal
+    family and every layer s; the star of 1 holds every layer."""
+    removed = tuple(range(1, n))
+    codec = search._KeyCodec(n, (), removed)
+    star = build_star(n).bits
+    inside_somewhere = [0] * len(removed)
+    for fam in enumerate_maximal_families(n):
+        expected = tuple(_star_layer_inside(fam, s) for s in removed)
+        assert codec.decode(_packed_key(codec, fam.bits))[2] == expected, fam.bits
+        if fam.bits == star:
+            assert all(expected)
+        inside_somewhere = [a + b for a, b in zip(inside_somewhere, expected)]
+    assert all(inside_somewhere)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -749,16 +780,15 @@ def test_perturbed_shadow_layer_fails_dominance_and_rigidity(monkeypatch):
     assert bundle[CHECK_REMOVED_LAYER].passed
 
 
-def test_lowered_removed_layer_cap_reports_removed_layer_empty(monkeypatch):
+def test_raised_removed_layer_reports_the_families_holding_that_star_layer(monkeypatch):
     p = Params(6, 4, 2)
-    cap = comb(5, 1) - 1  # the star's layer n-k = 2 has C(5, 1) members
-    _patch_constants(monkeypatch, lambda c: c._replace(star_cap=c.star_cap - 1))
+    qualifying = _qualifying(6, p)
+    # at the true layer n-k = 2 the check has nothing to report
+    assert not any(_star_layer_inside(SetFamily(n=6, bits=bits), 2) for bits in qualifying)
+    _patch_constants(monkeypatch, lambda c: c._replace(removed_layer=c.removed_layer + 1))
     report = verify_removed_layer(6, 4, 2)
-    expected = sorted(
-        bits for bits, (_, _, members) in _qualifying(6, p).items()
-        if sum(1 for s in members if len(s) == 2 and 1 in s) >= cap
-    )
-    assert expected
+    expected = sorted(bits for bits in qualifying if _star_layer_inside(SetFamily(n=6, bits=bits), 3))
+    assert (len(expected), len(qualifying)) == (31, 2634)
     assert _reported(report.violations, "removed-layer-empty") == [(b,) for b in expected]
 
 
@@ -767,7 +797,7 @@ def test_lowered_removed_layer_cap_reports_removed_layer_empty(monkeypatch):
 def test_violation_cap_applies_after_sorting(monkeypatch):
     monkeypatch.setattr(search, "_VIOLATION_CAP", 3)
     _patch_constants(monkeypatch, lambda c: c._replace(
-        bound=c.bound - 1, star_cap=c.star_cap - 1,
+        bound=c.bound - 1, removed_layer=c.removed_layer + 1,
         v_sizes=tuple(s - (l == 2) for l, s in enumerate(c.v_sizes))))
 
     def run(workers):
