@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, workers=False):
         sp.add_argument("--out", help="output path (resolved against $MSFAM_OUT_DIR if relative)")
         if workers:
-            sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+            sp.add_argument("--workers", type=int, default=1,
+                            help="processes a pass may use, this one included (default 1)")
             sp.add_argument("--cap-override", action="store_true",
                             help="override the enumeration size guard")
             sp.add_argument("--unchecked", action="store_true",

@@ -47,16 +47,19 @@ under the adjacent transpositions, and each class is encoded once per
 process through its least member, so theorem cells that share an achiever
 orbit share its encoding.
 
-A pass is one list of tasks: the whole tree's key histogram with its kept
-families, then the invariant-family totals of each non-identity cycle type.
-With one worker the list runs in the calling process; with more, a pool of
-that many processes, never more than there are tasks, takes the tasks in
-order, the tree first, and the parent sums the orbit totals.  The tree stays
-one task because its walk merges states across the whole tree: a subtree
-walked on its own would recount the undecided sets it shares with the
-others.  The n=7 verification of six jobs takes 0.06-0.07 s at one worker
-and about 0.09 s at two, for 0.12 s of CPU (benchmark medians, 2-core Xeon,
-Python 3.11): starting the pool costs more than the second worker saves.
+A pass is the whole tree's key histogram with its kept families, and the
+invariant-family totals of each non-identity cycle type.  With one worker
+the calling process does both, the tree first.  With W workers it starts
+up to W - 1 processes that split the cycle types between them, walks the
+whole tree itself meanwhile, and then sums the orbit totals they send back
+through pipes.  The tree is not split because its walk merges states across
+the whole tree: a subtree walked on its own would recount the undecided
+sets it shares with the others.  So a second process can take at most the
+orbit counting off the tree's path.  The six-job n=7 verification took
+0.076 s and 0.10 s of CPU at two workers, against 0.092 s and 0.12 s with
+a process pool that walked the tree in a child (benchmark medians, 2-core
+Xeon, Python 3.11), and 0.08-0.09 s at one worker in the same session; at
+n=8 the (8,4,2) pass took about 37 s either way.
 All per-family collections are sorted before reporting, and violation lists
 are cut to their first entries only after that sort, so report bytes do not
 depend on the worker count.
@@ -67,7 +70,7 @@ from __future__ import annotations
 import time
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from math import comb, factorial
 from multiprocessing import get_context
 from operator import and_, or_
@@ -789,14 +792,15 @@ class _Pass:
         return hist, kept
 
 
-def _pass_task(n: int, jobs: tuple, cycle_type: tuple | None):
-    """One task of a pass over jobs, run in whichever process maps it: for
-    cycle_type None the whole tree (see _Pass), otherwise, for cycle_type
-    (perm, class_size), that type's weighted invariant-family totals per
-    window of the jobs (see _cycle_type_totals)."""
-    if cycle_type is None:
-        return _Pass(n, jobs)()
-    return _cycle_type_totals(n, _key_layout(jobs)[0], *cycle_type)
+def _orbit_worker(conn, n: int, windows: tuple, types: list) -> None:
+    """A worker of _run_pass: send (True, the _nonidentity_sum of types) or
+    (False, the exception that stopped it) over conn."""
+    try:
+        result = (True, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
+                                         for cycle_type in types))
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
 
 
 def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
@@ -806,24 +810,52 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     totals over the non-identity cycle types (see _nonidentity_sum; empty
     when the jobs have no windows).
 
-    The tasks are the whole tree, then one per non-identity cycle type,
-    those with the most cycles first.  With one worker they run in this
-    process; otherwise a pool of at most that many processes, and no more
-    than there are tasks, takes them one at a time in that order, so the
-    tree, by far the largest, starts first and the second worker takes the
-    cycle types meanwhile.
+    With one worker, this process walks the tree and then counts the cycle
+    types.  With W > 1 it builds the tables, starts min(W - 1, cycle types)
+    workers, each with a one-way pipe and the static share types[i::procs]
+    of the cycle types (most cycles first), and walks the whole tree itself
+    while they count; then it sums their partial totals.  A worker's
+    exception is raised again here, and a worker that exits without sending
+    raises RuntimeError.  Every worker is stopped and reaped before this
+    returns or raises.
     """
     jobs = tuple(jobs)
-    tasks = [None, *(_nonidentity_types(n) if _key_layout(jobs)[0] else ())]
-    task = partial(_pass_task, n, jobs)
-    processes = min(workers, len(tasks))
-    if processes == 1:
-        results = list(map(task, tasks))
-    else:
-        with get_context().Pool(processes) as pool:
-            results = list(pool.imap(task, tasks))
-    (hist, kept), *orbit_totals = results
-    return hist, kept, _nonidentity_sum(orbit_totals)
+    windows = _key_layout(jobs)[0]
+    types = _nonidentity_types(n) if windows else []
+    procs = min(workers - 1, len(types))
+    if procs == 0:
+        hist, kept = _Pass(n, jobs)()
+        return hist, kept, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
+                                            for cycle_type in types)
+    _tables(n)  # built once here, inherited by forked workers
+    context = get_context()
+    running = []
+    try:
+        for i in range(procs):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_orbit_worker, daemon=True,
+                                      args=(sender, n, windows, types[i::procs]))
+            process.start()
+            running.append((process, receiver))
+            sender.close()  # so that a worker's exit without sending reads as EOF
+        hist, kept = _Pass(n, jobs)()
+        partial_sums = []
+        for process, receiver in running:
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"an orbit-counting worker exited with code "
+                                   f"{process.exitcode} before sending its totals") from None
+            if not ok:
+                raise value
+            partial_sums.append(value)
+    finally:
+        for process, receiver in running:
+            process.terminate()
+            process.join()
+            receiver.close()
+    return hist, kept, _nonidentity_sum(partial_sums)
 
 
 def _tally(job: tuple[str, Params], hist: Counter, kept: dict, layout: tuple
@@ -891,15 +923,20 @@ def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,
     classes = _achiever_classes(n, [bits for bits, in found[ACHIEVER]])
     unique_required = uniqueness_condition(p)
     if unique_required:
-        verdict = "unique-iso" if len(classes) == 1 else "multiple-iso"
-        if len(classes) != 1:
+        # the multiset family is fixed by its valuable part, so uniqueness
+        # counts the S_n-orbits of the achievers' valuable parts
+        shadow_orbit = _orbit(n, hm_shadow_valuable(p).bits)
+        valuable = [valuable_part(fam, p).bits for fam, _, _ in classes]
+        valuable_orbits = len({min(shadow_orbit if vp in shadow_orbit else _orbit(n, vp))
+                               for vp in valuable})
+        verdict = "unique-iso" if valuable_orbits == 1 else "multiple-iso"
+        if valuable_orbits != 1:
             violations.append({
                 "type": "uniqueness-failed",
-                "achiever_classes": len(classes),
+                "achiever_classes": valuable_orbits,
             })
-        shadow_orbit = _orbit(n, hm_shadow_valuable(p).bits)
-        for fam, size, enc in classes:
-            if valuable_part(fam, p).bits not in shadow_orbit:
+        for (_, _, enc), vp in zip(classes, valuable):
+            if vp not in shadow_orbit:
                 violations.append({
                     "type": "achiever-not-shadow",
                     "family": [list(m) for m in enc],

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -212,7 +213,7 @@ def test_achiever_classes_reject_a_broken_orbit():
         search._achiever_classes(5, [b for b in achievers if b != victim])
 
 
-# a patch of the module reaches pool workers only if they are forked
+# a patch of the module reaches the orbit-counting workers only if they are forked
 FORKED_WORKERS = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
 
 
@@ -297,6 +298,17 @@ def test_theorem_unique_at_divisibility_break():
     assert report.uniqueness_verdict == "unique-iso"
     assert report.achiever_class_sizes == (30,)
     assert report.passed
+
+
+def test_uniqueness_counts_valuable_part_orbits():
+    # the k=3 Hilton-Milner pair at n=7: eight achiever classes of subset
+    # families, whose valuable parts (layers q..k) fall into two orbits,
+    # the HM family's and the triangle family's
+    report = verify_hm_theorem(7, 3, 1, check=False)
+    assert len(report.achievers) == len(report.achiever_class_sizes) == 8
+    assert report.uniqueness_verdict == "multiple-iso"
+    assert [v for v in report.lemma_violations if v["type"] == "uniqueness-failed"] == [
+        {"type": "uniqueness-failed", "achiever_classes": 2}]
 
 
 def test_theorem_unbounded_boundary():
@@ -593,19 +605,73 @@ def test_orbit_walk_is_independent_of_the_step_order(n):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_pool_counts_orbits_in_its_workers(monkeypatch, n):
+def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
     jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
     windows = search._key_layout(jobs)[0]
     serial = search._nonidentity_sum(search._cycle_type_totals(n, windows, *cycle_type)
                                      for cycle_type in search._nonidentity_types(n))
-    original, parent = search._cycle_type_totals, os.getpid()
+    original_totals, original_call = search._cycle_type_totals, search._Pass.__call__
+    caller = os.getpid()
+    tree_pids = []
 
     def in_worker(*args):
-        if os.getpid() == parent:
-            raise AssertionError("a pooled pass counts orbits in its workers, not in the parent")
-        return original(*args)
+        if os.getpid() == caller:
+            raise AssertionError("a pass at two workers counts orbits in its worker, not in the caller")
+        return original_totals(*args)
+
+    def tree(self):
+        tree_pids.append(os.getpid())
+        return original_call(self)
     monkeypatch.setattr(search, "_cycle_type_totals", in_worker)
+    monkeypatch.setattr(search._Pass, "__call__", tree)
     assert search._run_pass(n, jobs, 2)[2] == serial
+    assert tree_pids == [caller]
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched count reaches the workers only through fork")
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_exception_raised_in_caller(monkeypatch, workers):
+    def broken(*args):
+        raise InvariantError("broken orbit count")
+    monkeypatch.setattr(search, "_cycle_type_totals", broken)
+    with pytest.raises(InvariantError, match="broken orbit count"):
+        run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched count reaches the workers only through fork")
+def test_worker_exit_without_sending_raises_in_caller():
+    # run in its own interpreter, so that a hang fails on the timeout
+    script = """
+import multiprocessing, os
+from msfam import Params, UNBOUNDED, run_verification, search
+search._cycle_type_totals = lambda *args: os._exit(3)
+try:
+    run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=2)
+except RuntimeError as exc:
+    print(type(exc).__name__, exc, len(multiprocessing.active_children()), sep="|")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    name, message, left = out.stdout.strip().split("|")
+    assert name == "RuntimeError" and "code 3" in message and left == "0"
+
+
+def test_caller_exception_leaves_no_worker_running(monkeypatch):
+    def broken(self):
+        raise InvariantError("broken tree walk")
+    monkeypatch.setattr(search._Pass, "__call__", broken)
+    # forked workers stay busy, so only stopping them leaves none running
+    monkeypatch.setattr(search, "_cycle_type_totals", lambda *args: time.sleep(60))
+    for workers in (2, 3):
+        with pytest.raises(InvariantError, match="broken tree walk"):
+            run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
+        assert not multiprocessing.active_children()
 
 
 def _flags_by_definition(n, windows):
@@ -679,7 +745,7 @@ def test_orbit_systems_conflict_only_inside_one_outcome(n):
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched count reaches pool workers only through fork")
+                    reason="the patched count reaches the workers only through fork")
 def test_off_by_one_cycle_type_count_raises_at_two_workers(monkeypatch):
     original = search._cycle_type_totals
     monkeypatch.setattr(search, "_cycle_type_totals",
@@ -792,8 +858,6 @@ def test_raised_removed_layer_reports_the_families_holding_that_star_layer(monke
     assert _reported(report.violations, "removed-layer-empty") == [(b,) for b in expected]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched constants reach pool workers only through fork")
 def test_violation_cap_applies_after_sorting(monkeypatch):
     monkeypatch.setattr(search, "_VIOLATION_CAP", 3)
     _patch_constants(monkeypatch, lambda c: c._replace(

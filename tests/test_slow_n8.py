@@ -25,3 +25,13 @@ def test_theorem_and_lemmas_at_8_4_2():
     bundle = res.lemma_bundles[0]
     for name in LEMMA_CHECKS:
         assert bundle[name].passed, (name, bundle[name].violations)
+
+
+def test_theorem_unique_by_valuable_part_at_8_5_2():
+    # six achiever classes of subset families, differing only outside the
+    # valuable layers [q, k] = [3, 5]; their valuable parts form one orbit
+    report = run_verification(8, [Params(8, 5, 2)], cap_override=True).theorem_reports[0]
+    assert report.uniqueness_verdict == "unique-iso"
+    assert len(report.achiever_class_sizes) == 6
+    assert report.lemma_violations == ()
+    assert report.passed
