@@ -33,8 +33,11 @@ is the one that leaves the fewest undecided pairs bordering the decided
 ones.  For that n=7 pass it is about 12k U and 26k (U, key) states (34k U in
 decision order, which takes the singletons first), where the tree has 1.42M
 leaves.  The families under interesting keys are then collected by a descent
-in the same order that enters only the states from which such a key is still
-reachable, and takes the last _MEMO_PAIRS pairs from a memo over U.
+that enters only the states from which such a key is still reachable, and
+takes the last _MEMO_PAIRS pairs from a memo over U.  It takes the pairs in
+decision order, singletons first: its reach test compares layer counts, and
+those are fixed soonest there (the six-job n=7 collection, 147 families,
+takes about 3 ms against 6 ms in frontier order).
 Counting the families alone uses the same walk.  Isomorphism classes are
 S_n-orbits under relabelling of [n].  Their counts come from the
 orbit-counting lemma: for each cycle type the invariant families are counted
@@ -49,17 +52,20 @@ orbit share its encoding.
 
 A pass is the whole tree's key histogram with its kept families, and the
 invariant-family totals of each non-identity cycle type.  With one worker
-the calling process does both, the tree first.  With W workers it starts
-up to W - 1 processes that split the cycle types between them, walks the
-whole tree itself meanwhile, and then sums the orbit totals they send back
-through pipes.  The tree is not split because its walk merges states across
-the whole tree: a subtree walked on its own would recount the undecided
-sets it shares with the others.  So a second process can take at most the
-orbit counting off the tree's path.  The six-job n=7 verification took
-0.076 s and 0.10 s of CPU at two workers, against 0.092 s and 0.12 s with
-a process pool that walked the tree in a child (benchmark medians, 2-core
-Xeon, Python 3.11), and 0.08-0.09 s at one worker in the same session; at
-n=8 the (8,4,2) pass took about 37 s either way.
+the calling process does both, the tree first.  With W workers it splits
+the tree at its top into start states whose subtrees partition it, deals
+them to the W processes in contiguous blocks, starts W - 1 processes that
+also share the cycle types, walks the last block itself meanwhile, and
+then adds up what they send back through pipes.  A subtree walked on its
+own meets again the undecided sets it shares with the others, but in the
+frontier order the root's two subtrees share few: at n=7 they meet 3,658
+and 9,283 U against 11,740 for the whole tree, at n=8 2.34M and 2.28M
+against 3.86M.  The (8,4,2) theorem and lemma pass at two workers took
+0.61 and 0.68 of the time it took when the caller walked the whole tree
+and a worker only counted orbits (25.3 against 41.3 s and 15.2 against
+22.6 s, two rounds on a 2-core Xeon whose speed drifted between them,
+Python 3.11), with each process peaking at about 260 MB instead of the
+caller's 424 MB.
 All per-family collections are sorted before reporting, and violation lists
 are cut to their first entries only after that sort, so report bytes do not
 depend on the worker count.
@@ -71,6 +77,7 @@ import time
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import comb, factorial
 from multiprocessing import get_context
 from operator import and_, or_
@@ -130,7 +137,7 @@ def _check_cap(n: int, cap_override: bool) -> None:
 # pair-implication systems
 # ---------------------------------------------------------------------------
 
-_Tables = namedtuple("_Tables", "full up down decisions steps")
+_Tables = namedtuple("_Tables", "full up down decisions decision_steps steps")
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +147,8 @@ def _tables(n: int) -> _Tables:
     up[x] is the family bitset of x and its proper supersets short of [n],
     down[x] that of x and its non-empty subsets.  Both are transitively
     closed: a member forces exactly up[x] in, a non-member exactly down[x] out.
-    steps is decisions as _KeyWalk walks them (see _walk_steps).
+    decision_steps is decisions as _KeyWalk collects them (see
+    _decision_steps), steps the same in the frontier order it counts them in.
     """
     full = (1 << n) - 1
     singles = [1 << e for e in range(n)]
@@ -157,8 +165,9 @@ def _tables(n: int) -> _Tables:
     # one decision per complementary pair: the smaller side, ties by mask value
     reps = sorted((x for x in range(1, full) if side(x) < side(full ^ x)), key=side)
     decisions = tuple((1 << x, ((up[x], down[full ^ x]), (up[full ^ x], down[x]))) for x in reps)
+    decision_steps = _decision_steps(n, decisions)
     return _Tables(full=full, up=tuple(up), down=tuple(down), decisions=decisions,
-                   steps=_walk_steps(n, decisions))
+                   decision_steps=decision_steps, steps=_frontier_order(decision_steps))
 
 
 def _walk_steps(n: int, decisions) -> tuple:
@@ -192,18 +201,29 @@ def _frontier_order(steps: tuple) -> tuple:
     one that leaves the smallest boundary, ties by position in steps
     (Kawahara et al., frontier-based search, IEICE Trans. 2017).
     """
-    bits = [bit for bit, _ in steps]
+    index = {bit: j for j, (bit, _) in enumerate(steps)}  # an item's bit -> its step
+    items = reduce(or_, index, 0)
     adjacent = []
     for _, outcomes in steps:
-        decides = ~reduce(and_, (rest for _, rest in outcomes), -1)
-        adjacent.append(sum(1 << j for j, bit in enumerate(bits) if bit & decides))
-    order, placed, reach = [], 0, 0
+        decides = ~reduce(and_, (rest for _, rest in outcomes), -1) & items
+        pairs = 0
+        while decides:
+            bit = decides & -decides
+            pairs |= 1 << index[bit]
+            decides ^= bit
+        adjacent.append(pairs)
+    order, reach, unplaced = [], 0, (1 << len(steps)) - 1
+    candidates = [(1 << i, i) for i in range(len(steps))]  # the unplaced steps, in steps order
     for _ in steps:
-        _, i = min((((reach | adjacent[i]) & ~(placed | 1 << i)).bit_count(), i)
-                   for i in range(len(steps)) if not placed >> i & 1)
-        order.append(i)
-        placed |= 1 << i
-        reach |= adjacent[i]
+        least = None
+        for own, i in candidates:
+            boundary = ((reach | adjacent[i]) & (unplaced ^ own)).bit_count()
+            if least is None or boundary < least:
+                least, pick = boundary, (own, i)
+        candidates.remove(pick)
+        unplaced ^= pick[0]
+        reach |= adjacent[pick[1]]
+        order.append(pick[1])
     return tuple(steps[i] for i in order)
 
 
@@ -285,6 +305,15 @@ class _KeyWalk:
     default; the orbit systems are walked the same way.  The walk takes
     the pairs in steps order, whatever it is, and gives the same histogram
     and kept families in any order; _walk_steps puts them in frontier order.
+    The subset system by default is counted in frontier order and collected
+    in decision order (collect_steps), where the reach test below prunes
+    sooner; a steps given serves both.
+
+    The walk starts from a list of start states (step index, U, family
+    bits, key), the root [(0, proper, 0, 0)] by default.  split gives
+    start states whose subtrees partition the tree, so walks from disjoint
+    blocks of them count and keep disjoint sets of families; start states
+    that share a U merge as two paths do.
 
     No branch conflicts once _walk_steps has dropped the outcomes whose own
     closures meet, so a node's completions depend only on its undecided set
@@ -315,8 +344,12 @@ class _KeyWalk:
     def __init__(self, n: int, codec: _KeyCodec | None = None,
                  keep: Callable[[int], bool] = lambda key: False, steps: tuple | None = None):
         t = _tables(n)
-        self.steps = t.steps if steps is None else steps
+        if steps is None:
+            self.steps, self.collect_steps = t.steps, t.decision_steps
+        else:
+            self.steps = self.collect_steps = steps
         self.proper, self.codec, self.keep = (1 << t.full) - 2, codec, keep
+        self.root = [(0, self.proper, 0, 0)]
         self.low = self.guards = 0
         self.feeds: list[tuple[int, int]] = []  # per field: (its shift, the items that add to it)
         if codec is not None:
@@ -350,10 +383,10 @@ class _KeyWalk:
         return ((key | part) & ~low) | ((key + part) & low)
 
     def _completions(self, idx: int, undecided: int) -> list[tuple[int, int]]:
-        """The completions T of an undecided set, each with its key, in walk order."""
+        """The completions T of an undecided set, each with its key, in collection order."""
         if not undecided:
             return [(0, 0)]
-        steps, plus = self.steps, self._plus
+        steps, plus = self.collect_steps, self._plus
         while not steps[idx][0] & undecided:
             idx += 1
         out = []
@@ -362,18 +395,42 @@ class _KeyWalk:
             out += [(new | t, plus(part, new)) for t, part in self._completions(idx + 1, undecided & rest)]
         return out
 
-    def histogram(self) -> tuple[Counter, dict[int, list[int]]]:
-        """The key histogram, and the families under kept keys."""
-        hist = self._count()
+    def histogram(self, starts: list | None = None) -> tuple[Counter, dict[int, list[int]]]:
+        """The key histogram of the leaves below starts, the root by default,
+        and the families under kept keys among them."""
+        starts = self.root if starts is None else starts
+        hist = self._count(starts)
         targets = [k for k in hist if self.keep(k)]
-        return hist, self._collect(targets) if targets else {}
+        return hist, self._collect(targets, starts) if targets else {}
 
-    def _count(self) -> Counter:
+    def split(self, parts: int) -> list[tuple[int, int, int, int]]:
+        """Start states (step index, U, family bits, key) whose subtrees
+        partition the tree: the root's descendants level by level, until
+        there are at least parts of them or all are leaves."""
+        steps, plus = self.steps, self._plus
+        starts = self.root
+        while len(starts) < parts and any(u for _, u, _, _ in starts):
+            children = []
+            for idx, u, fam, key in starts:
+                if not u:
+                    children.append((idx, u, fam, key))
+                    continue
+                while not steps[idx][0] & u:
+                    idx += 1
+                for add_in, rest in steps[idx][1]:
+                    new = add_in & u
+                    children.append((idx + 1, u & rest, fam | new, plus(key, new)))
+            starts = children
+        return starts
+
+    def _count(self, starts: list) -> Counter:
         steps, deltas, delta = self.steps, self.deltas, self._delta
         # per number of undecided items: U -> [a step index at or before
         # U's first undecided decision, {node key: paths}]
         levels: list = [{} for _ in range(self.proper.bit_count() + 1)]
-        levels[-1][self.proper] = [0, {0: 1}]
+        for idx, u, _, key in starts:  # start states that share a U merge as two paths do
+            keys = levels[u.bit_count()].setdefault(u, [idx, {}])[1]
+            keys[key] = keys.get(key, 0) + 1
         for size in range(len(levels) - 1, 0, -1):
             for u, (idx, keys) in levels[size].items():
                 while not steps[idx][0] & u:
@@ -393,13 +450,15 @@ class _KeyWalk:
             levels[size] = None
         return Counter(levels[0][0][1]) if levels[0] else Counter()
 
-    def _collect(self, targets: list[int]) -> dict[int, list[int]]:
-        """The families under the keys targets that keep marks.  A state
-        (U, key) is entered only if some target is still reachable from it,
-        which is memoised per (U, key) for the call; the fields are compared
-        all at once, since with the guard bits set in the minuend a field's
-        guard survives the subtraction iff that field did not go negative."""
-        steps, keep, plus, join = self.steps, self.keep, self._plus, self._join
+    def _collect(self, targets: list[int], starts: list) -> dict[int, list[int]]:
+        """The families below starts under the keys targets that keep marks.
+        A state (U, key) is entered only if some target is still reachable
+        from it, which is memoised per (U, key) for the call; the fields are
+        compared all at once, since with the guard bits set in the minuend a
+        field's guard survives the subtraction iff that field did not go
+        negative.  A U's completions do not depend on the step order, so
+        each start state is descended from the first of collect_steps."""
+        steps, keep, plus, join = self.collect_steps, self.keep, self._plus, self._join
         low, guards, feeds = self.low, self.guards, self.feeds
         limit = 2 * _MEMO_PAIRS
         lifted = [(t & low | guards, t) for t in targets]
@@ -441,7 +500,8 @@ class _KeyWalk:
                 new = add_in & u
                 descend(idx + 1, u & rest, fam | new, plus(key, new))
 
-        descend(0, self.proper, 0, 0)
+        for _, u, fam, key in starts:
+            descend(0, u, fam, key)
         del descend  # it refers to itself; break the cycle so this call's state goes now
         return kept
 
@@ -577,8 +637,9 @@ def _nonidentity_sum(totals: Iterable[list[int]]) -> list[int]:
     """The _cycle_type_totals of the non-identity cycle types summed entry by
     entry: the orbit-counting lemma's sum over those types of class_size *
     invariant-family count, first over all invariant families, then over
-    those qualifying for each window."""
-    return [sum(column) for column in zip(*totals)]
+    those qualifying for each window.  An empty list, the sum over no cycle
+    types, adds nothing."""
+    return [sum(column) for column in zip_longest(*totals, fillvalue=0)]
 
 
 def count_maximal_families(n: int, cap_override: bool = False) -> int:
@@ -752,20 +813,22 @@ def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple]
 
 
 class _Pass:
-    """The whole-tree part of an enumeration pass over jobs: the key codec,
-    whether each key is interesting (decided the first time it is seen) and
-    the key walk.  Calling it gives the key histogram of the maximal
-    families on [n] and the families under interesting keys, both keyed by
-    decoded key.
+    """The tree part of an enumeration pass over jobs: the key codec, whether
+    each key is interesting (decided the first time it is seen), the key walk
+    and the block of start states it walks (see _KeyWalk.split), the root by
+    default.  Calling it gives the key histogram of the maximal families on
+    [n] below the block and the families under interesting keys among them,
+    both keyed by decoded key.
     """
 
-    def __init__(self, n: int, jobs: Sequence[tuple[str, Params]]):
+    def __init__(self, n: int, jobs: Sequence[tuple[str, Params]], block: list | None = None):
         self.n, self.jobs = n, tuple(jobs)
         self.layout = _key_layout(jobs)
         self.codec = _key_codec(n, *self.layout)
         self.decoded: dict[int, tuple] = {}
         self.verdicts: dict[int, bool] = {}
         self.walk = _KeyWalk(n, self.codec, self.keep)
+        self.block = block
 
     def decode(self, key: int) -> tuple:
         decoded = self.decoded.get(key)
@@ -782,7 +845,7 @@ class _Pass:
         return verdict
 
     def __call__(self) -> tuple[Counter, dict[tuple, list[int]]]:
-        packed, packed_kept = self.walk.histogram()
+        packed, packed_kept = self.walk.histogram(self.block)
         hist: Counter = Counter()
         kept: dict[tuple, list[int]] = {}
         for key, count in packed.items():
@@ -792,12 +855,14 @@ class _Pass:
         return hist, kept
 
 
-def _orbit_worker(conn, n: int, windows: tuple, types: list) -> None:
-    """A worker of _run_pass: send (True, the _nonidentity_sum of types) or
-    (False, the exception that stopped it) over conn."""
+def _worker(conn, n: int, jobs: tuple, block: list, windows: tuple, types: list) -> None:
+    """A worker of _run_pass: send (True, (the key histogram and kept
+    families below block, the _nonidentity_sum of types)) or (False, the
+    exception that stopped it) over conn."""
     try:
-        result = (True, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
-                                         for cycle_type in types))
+        hist, kept = _Pass(n, jobs, block)()
+        result = (True, (hist, kept, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
+                                                      for cycle_type in types)))
     except Exception as exc:
         result = (False, exc)
     conn.send(result)
@@ -811,45 +876,58 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     when the jobs have no windows).
 
     With one worker, this process walks the tree and then counts the cycle
-    types.  With W > 1 it builds the tables, starts min(W - 1, cycle types)
-    workers, each with a one-way pipe and the static share types[i::procs]
-    of the cycle types (most cycles first), and walks the whole tree itself
-    while they count; then it sums their partial totals.  A worker's
-    exception is raised again here, and a worker that exits without sending
-    raises RuntimeError.  Every worker is stopped and reaped before this
-    returns or raises.
+    types.  With W > 1 it builds the tables, splits the tree into at least W
+    start states (_KeyWalk.split) and deals them to the W processes in
+    contiguous blocks.  It starts W - 1 workers, each with a one-way pipe,
+    its block and the static share types[i::W-1] of the cycle types (most
+    cycles first), and walks the last block itself while they run; then it
+    adds their histograms, joins their kept families and sums their orbit
+    totals.  The start states partition the tree's root-to-leaf paths, and
+    keep looks at the key alone, so each family is counted and kept by
+    exactly one process; an undecided set met below two blocks is walked
+    twice, but its paths are counted once.  A worker's exception is raised
+    again here, and a worker that exits without sending raises RuntimeError.
+    Every worker is stopped and reaped before this returns or raises.
     """
     jobs = tuple(jobs)
-    windows = _key_layout(jobs)[0]
+    layout = _key_layout(jobs)
+    windows = layout[0]
     types = _nonidentity_types(n) if windows else []
-    procs = min(workers - 1, len(types))
-    if procs == 0:
+    if workers == 1:
         hist, kept = _Pass(n, jobs)()
         return hist, kept, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
                                             for cycle_type in types)
     _tables(n)  # built once here, inherited by forked workers
+    starts = _KeyWalk(n, _key_codec(n, *layout)).split(workers)
+    blocks = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]
+              for i in range(workers)]
+    procs = workers - 1
     context = get_context()
     running = []
     try:
         for i in range(procs):
             receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_orbit_worker, daemon=True,
-                                      args=(sender, n, windows, types[i::procs]))
+            process = context.Process(target=_worker, daemon=True,
+                                      args=(sender, n, jobs, blocks[i], windows, types[i::procs]))
             process.start()
             running.append((process, receiver))
             sender.close()  # so that a worker's exit without sending reads as EOF
-        hist, kept = _Pass(n, jobs)()
+        hist, kept = _Pass(n, jobs, blocks[-1])()
         partial_sums = []
         for process, receiver in running:
             try:
                 ok, value = receiver.recv()
             except EOFError:
                 process.join()
-                raise RuntimeError(f"an orbit-counting worker exited with code "
-                                   f"{process.exitcode} before sending its totals") from None
+                raise RuntimeError(f"a pass worker exited with code {process.exitcode} "
+                                   f"before sending its results") from None
             if not ok:
                 raise value
-            partial_sums.append(value)
+            part_hist, part_kept, orbit_sum = value
+            hist.update(part_hist)
+            for key, fams in part_kept.items():
+                kept.setdefault(key, []).extend(fams)
+            partial_sums.append(orbit_sum)
     finally:
         for process, receiver in running:
             process.terminate()

@@ -573,15 +573,52 @@ def test_walk_is_independent_of_the_step_order(n):
     steps = search._decision_steps(n, search._tables(n).decisions)
     orders = _step_orders(steps)
     assert search._tables(n).steps == orders[1]
+    assert search._tables(n).decision_steps == steps
     if n >= 4:
         assert orders[1] != steps  # the orders really differ
     results = []
     for order in orders:
         hist, kept = search._KeyWalk(n, state.codec, state.keep, steps=order).histogram()
         results.append((hist, _sorted_kept(kept)))
+    # by default the walk counts in frontier order and collects in decision order
+    walk = search._KeyWalk(n, state.codec, state.keep)
+    assert (walk.steps, walk.collect_steps) == (orders[1], steps)
+    hist, kept = walk.histogram()
+    results.append((hist, _sorted_kept(kept)))
     assert sum(results[0][0].values()) == MAXIMAL_COUNTS[n]
     assert results[0][1] or n < 4
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1] == results[2] == results[3]
+
+
+def _frontier_order_reference(steps):
+    """The frontier order straight from its definition: adjacency by testing
+    every step's bit, and each next pair chosen among all steps not yet
+    placed, the least boundary first and ties by position."""
+    bits = [bit for bit, _ in steps]
+    adjacent = []
+    for _, outcomes in steps:
+        decides = ~reduce(and_, (rest for _, rest in outcomes), -1)
+        adjacent.append(sum(1 << j for j, bit in enumerate(bits) if bit & decides))
+    order, placed, reach = [], 0, 0
+    for _ in steps:
+        _, i = min((((reach | adjacent[i]) & ~(placed | 1 << i)).bit_count(), i)
+                   for i in range(len(steps)) if not placed >> i & 1)
+        order.append(i)
+        placed |= 1 << i
+        reach |= adjacent[i]
+    return tuple(steps[i] for i in order)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_frontier_order_equals_its_reference(n):
+    """The subset system and every orbit system: the same order, tie for tie."""
+    systems = [search._tables(n).decisions]
+    systems += [system for perm, _ in search._nonidentity_types(n)
+                for system in [search._orbit_system(n, perm)] if system is not None]
+    for system in systems:
+        steps = search._decision_steps(n, system)
+        assert search._frontier_order(steps) == _frontier_order_reference(steps)
+    assert len(systems) > 1 or n == 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -606,13 +643,15 @@ def test_orbit_walk_is_independent_of_the_step_order(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
+    """At two workers the caller walks a strict part of the tree, the last
+    of the root's two subtrees, and counts no orbits; the worker walks the
+    rest and counts every cycle type."""
     jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
     windows = search._key_layout(jobs)[0]
-    serial = search._nonidentity_sum(search._cycle_type_totals(n, windows, *cycle_type)
-                                     for cycle_type in search._nonidentity_types(n))
+    serial_hist, serial_kept, serial = search._run_pass(n, jobs, 1)
     original_totals, original_call = search._cycle_type_totals, search._Pass.__call__
     caller = os.getpid()
-    tree_pids = []
+    tree_calls = []
 
     def in_worker(*args):
         if os.getpid() == caller:
@@ -620,12 +659,92 @@ def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
         return original_totals(*args)
 
     def tree(self):
-        tree_pids.append(os.getpid())
-        return original_call(self)
+        hist, kept = original_call(self)
+        tree_calls.append((os.getpid(), self.block, sum(hist.values())))
+        return hist, kept
     monkeypatch.setattr(search, "_cycle_type_totals", in_worker)
     monkeypatch.setattr(search._Pass, "__call__", tree)
-    assert search._run_pass(n, jobs, 2)[2] == serial
-    assert tree_pids == [caller]
+    hist, kept, orbits = search._run_pass(n, jobs, 2)
+    assert (hist, _sorted_kept(kept), orbits) == (serial_hist, _sorted_kept(serial_kept), serial)
+    assert len(serial) == 1 + len(windows)
+    [(pid, block, families)] = tree_calls
+    assert pid == caller
+    # the second child of the root: (step index, U, family bits) without the key
+    assert len(block) == 1 and block[0][:3] == search._KeyWalk(n).split(2)[1][:3]
+    assert 0 < families < sum(serial_hist.values())
+    assert not multiprocessing.active_children()
+
+
+def _all_keys_codec(n):
+    return search._key_codec(n, *search._key_layout(
+        [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_start_states_partition_the_tree(n):
+    """Each start state walked on its own, with every key kept: the kept
+    families are disjoint, together they are the leaves of _dfs, and the
+    histograms add up to the root's."""
+    walk = search._KeyWalk(n, _all_keys_codec(n), lambda key: True)
+    root_hist, root_kept = walk.histogram()
+    leaves = sorted(search._dfs(search._tables(n).decisions))
+    assert sorted(fam for fams in root_kept.values() for fam in fams) == leaves
+    sizes = []
+    for parts in (2, 4, 8):
+        starts = walk.split(parts)
+        sizes.append(len(starts))
+        hist, families = Counter(), []
+        for start in starts:
+            part_hist, part_kept = walk.histogram([start])
+            hist += part_hist
+            families += [fam for fams in part_kept.values() for fam in fams]
+            assert sum(part_hist.values()) == sum(map(len, part_kept.values())) > 0
+        assert len(set(families)) == len(families), parts
+        assert sorted(families) == leaves, parts
+        assert hist == root_hist, parts
+    assert sizes == [2, 4, 8]  # depths 1 to 3: no leaf that shallow for n >= 4
+    # many start states walked as one block, some sharing a U, merge as paths do
+    for block_walk in (walk, search._KeyWalk(n)):
+        starts = block_walk.split(64)
+        assert max(Counter(u for _, u, _, _ in starts).values()) > 1
+        hist, kept = block_walk.histogram(starts)
+        expected_hist, expected_kept = block_walk.histogram()
+        assert (hist, _sorted_kept(kept)) == (expected_hist, _sorted_kept(expected_kept))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_beyond_the_leaves_terminates(n):
+    """More processes than leaves: the split stops at the leaves, some
+    processes get no start state, and the reports are those of one worker."""
+    leaves = MAXIMAL_COUNTS[n]
+    starts = search._KeyWalk(n).split(8)
+    assert len(starts) == leaves and not any(u for _, u, _, _ in starts)
+    blobs = [_every_cell_blob(n, workers) for workers in (1, 2, 3, 4)]
+    assert blobs[0] and blobs[0] == blobs[1] == blobs[2] == blobs[3]
+    jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
+    serial = search._run_pass(n, jobs, 1)
+    for workers in (2, 3, 4):
+        hist, kept, orbits = search._run_pass(n, jobs, workers)
+        assert (hist, _sorted_kept(kept), orbits) == (serial[0], _sorted_kept(serial[1]), serial[2])
+    assert not multiprocessing.active_children()
+
+
+def test_pass_at_n7_equal_across_workers():
+    """The benchmark's n=7 job set, whose kept achievers lie in both of the
+    root's subtrees, at one to four workers."""
+    jobs = [(search.THEOREM, Params(7, k, m))
+            for k, m in ((4, 2), (4, 3), (4, UNBOUNDED), (5, 3), (5, UNBOUNDED))]
+    jobs.append((search.LEMMAS, Params(7, 4, 2)))
+    hist, kept, orbits = search._run_pass(7, jobs, 1)
+    assert sum(hist.values()) == 1422564 and orbits
+    walk = search._Pass(7, jobs).walk
+    halves = [sum(map(len, walk.histogram([start])[1].values())) for start in walk.split(2)]
+    assert all(halves) and sum(halves) == sum(map(len, kept.values()))
+    for workers in (2, 3, 4):
+        got_hist, got_kept, got_orbits = search._run_pass(7, jobs, workers)
+        assert got_hist == hist, workers
+        assert _sorted_kept(got_kept) == _sorted_kept(kept), workers
+        assert got_orbits == orbits, workers
     assert not multiprocessing.active_children()
 
 

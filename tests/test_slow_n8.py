@@ -14,9 +14,10 @@ def test_count_maximal_families_n8():
     assert count_maximal_families(8, cap_override=True) == 229809982112
 
 
-def test_theorem_and_lemmas_at_8_4_2():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_theorem_and_lemmas_at_8_4_2(workers):
     p = Params(8, 4, 2)
-    res = run_verification(8, [p], [p], cap_override=True)
+    res = run_verification(8, [p], [p], workers=workers, cap_override=True)
     assert res.families_total == 229809982112
     theorem = res.theorem_reports[0]
     assert theorem.passed
