@@ -323,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate-maximal", help="list maximal intersecting subset families")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--up-to-iso", action="store_true",
-                    help="one representative per isomorphism class "
-                         "(n=7: about 10 s and 118 MB)")
+                    help="one representative per isomorphism class")
     sp.add_argument("--cap-override", action="store_true")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     add_common(sp)

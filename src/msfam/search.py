@@ -51,16 +51,18 @@ process through its least member, so theorem cells that share an achiever
 orbit share its encoding.
 
 A pass is the whole tree's key histogram with its kept families, and the
-invariant-family totals of each non-identity cycle type.  With one worker
-the calling process does both, the tree first.  With W workers it splits
-the tree at its top into start states whose subtrees partition it, deals
-them to the W processes in contiguous blocks, starts W - 1 processes that
-also share the cycle types, walks the last block itself meanwhile, and
-then adds up what they send back through pipes.  A subtree walked on its
-own meets again the undecided sets it shares with the others, but in the
-frontier order the root's two subtrees share few: at n=7 they meet 3,658
-and 9,283 U against 11,740 for the whole tree, at n=8 2.34M and 2.28M
-against 3.86M.  The (8,4,2) theorem and lemma pass at two workers took
+invariant-family totals of each non-identity cycle type.  At W workers it
+is computed as W shares, one per process, each by the same function.  The
+tree is split at its top into at least W start states whose subtrees
+partition it (for W = 1, the root alone), and these are dealt to the W
+processes in contiguous blocks.  The calling process starts W - 1 workers,
+which divide the cycle types among them, computes its own share of the
+last block meanwhile, counting the cycle types only when it is alone, and
+merges into it the shares the workers send back through pipes.  A subtree
+walked on its own meets again the undecided sets it shares with the others,
+but in the frontier order the root's two subtrees share few: at n=7 they
+meet 3,658 and 9,283 U against 11,740 for the whole tree, at n=8 2.34M and
+2.28M against 3.86M.  The (8,4,2) theorem and lemma pass at two workers took
 0.61 and 0.68 of the time it took when the caller walked the whole tree
 and a worker only counted orbits (25.3 against 41.3 s and 15.2 against
 22.6 s, two rounds on a 2-core Xeon whose speed drifted between them,
@@ -110,9 +112,9 @@ DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_ORACLE_VERTEX_CAP = 120
 _VIOLATION_CAP = 1000
 # _KeyWalk collects the families of subtrees with at most this many undecided
-# pairs from a memo of their completions.  _Pass(7, [(7,6,inf)]), which keeps
-# all 1.42M families, took 2.4-2.9, 1.8-2.2, 1.3-1.8 and 1.4-1.5 s at 2, 3, 4
-# and 5 (three runs each, 2-core Xeon), but the collection of the six-job n=7
+# pairs from a memo of their completions.  The walk of the (7,6,inf) pass,
+# which keeps all 1.42M families, took 2.4-2.9, 1.8-2.2, 1.3-1.8 and 1.4-1.5 s
+# at 2, 3, 4 and 5 (three runs each, 2-core Xeon), but the collection of the six-job n=7
 # pass, the common case, took 6.1, 5.7, 6.1 and 6.4 ms (medians of nine), and
 # that of the six-job n=6 pass 3.8, 3.8, 3.9 and 5.9 ms
 _MEMO_PAIRS = 3
@@ -812,57 +814,38 @@ def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple]
     return found
 
 
-class _Pass:
-    """The tree part of an enumeration pass over jobs: the key codec, whether
-    each key is interesting (decided the first time it is seen), the key walk
-    and the block of start states it walks (see _KeyWalk.split), the root by
-    default.  Calling it gives the key histogram of the maximal families on
-    [n] below the block and the families under interesting keys among them,
-    both keyed by decoded key.
-    """
+def _share(n: int, jobs: tuple, block: list, types: list
+           ) -> tuple[Counter, dict[tuple, list[int]], list[int]]:
+    """One process's share of a pass over jobs: the key histogram of the
+    maximal families on [n] below block, a list of start states (see
+    _KeyWalk.split), and the bits of the families under interesting keys
+    among them, both keyed by decoded key; then the _nonidentity_sum of the
+    cycle types in types.  Whether a key is interesting is decided the first
+    time it is seen."""
+    layout = _key_layout(jobs)
+    codec = _key_codec(n, *layout)
+    decode = lru_cache(maxsize=None)(codec.decode)
 
-    def __init__(self, n: int, jobs: Sequence[tuple[str, Params]], block: list | None = None):
-        self.n, self.jobs = n, tuple(jobs)
-        self.layout = _key_layout(jobs)
-        self.codec = _key_codec(n, *self.layout)
-        self.decoded: dict[int, tuple] = {}
-        self.verdicts: dict[int, bool] = {}
-        self.walk = _KeyWalk(n, self.codec, self.keep)
-        self.block = block
+    @lru_cache(maxsize=None)
+    def keep(key: int) -> bool:
+        decoded = decode(key)
+        return any(_findings(job, decoded, layout) for job in jobs)
 
-    def decode(self, key: int) -> tuple:
-        decoded = self.decoded.get(key)
-        if decoded is None:
-            decoded = self.decoded[key] = self.codec.decode(key)
-        return decoded
-
-    def keep(self, key: int) -> bool:
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            decoded = self.decode(key)
-            verdict = self.verdicts[key] = any(
-                _findings(job, decoded, self.layout) for job in self.jobs)
-        return verdict
-
-    def __call__(self) -> tuple[Counter, dict[tuple, list[int]]]:
-        packed, packed_kept = self.walk.histogram(self.block)
-        hist: Counter = Counter()
-        kept: dict[tuple, list[int]] = {}
-        for key, count in packed.items():
-            hist[self.decode(key)] += count
-        for key, fams in packed_kept.items():
-            kept.setdefault(self.decode(key), []).extend(fams)
-        return hist, kept
+    packed, packed_kept = _KeyWalk(n, codec, keep).histogram(block)
+    hist, kept = Counter(), {}
+    for key, count in packed.items():
+        hist[decode(key)] += count
+    for key, fams in packed_kept.items():
+        kept.setdefault(decode(key), []).extend(fams)
+    return hist, kept, _nonidentity_sum(_cycle_type_totals(n, layout[0], *cycle_type)
+                                        for cycle_type in types)
 
 
-def _worker(conn, n: int, jobs: tuple, block: list, windows: tuple, types: list) -> None:
-    """A worker of _run_pass: send (True, (the key histogram and kept
-    families below block, the _nonidentity_sum of types)) or (False, the
+def _worker(conn, *share) -> None:
+    """A worker of _run_pass: send (True, its _share) or (False, the
     exception that stopped it) over conn."""
     try:
-        hist, kept = _Pass(n, jobs, block)()
-        result = (True, (hist, kept, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
-                                                      for cycle_type in types)))
+        result = (True, _share(*share))
     except Exception as exc:
         result = (False, exc)
     conn.send(result)
@@ -875,29 +858,25 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     totals over the non-identity cycle types (see _nonidentity_sum; empty
     when the jobs have no windows).
 
-    With one worker, this process walks the tree and then counts the cycle
-    types.  With W > 1 it builds the tables, splits the tree into at least W
-    start states (_KeyWalk.split) and deals them to the W processes in
-    contiguous blocks.  It starts W - 1 workers, each with a one-way pipe,
-    its block and the static share types[i::W-1] of the cycle types (most
-    cycles first), and walks the last block itself while they run; then it
-    adds their histograms, joins their kept families and sums their orbit
-    totals.  The start states partition the tree's root-to-leaf paths, and
-    keep looks at the key alone, so each family is counted and kept by
-    exactly one process; an undecided set met below two blocks is walked
-    twice, but its paths are counted once.  A worker's exception is raised
-    again here, and a worker that exits without sending raises RuntimeError.
-    Every worker is stopped and reaped before this returns or raises.
+    The tree is split into at least workers start states (_KeyWalk.split;
+    for one worker, the root alone), dealt to the processes in contiguous
+    blocks.  This process starts workers - 1 workers, each with a one-way
+    pipe, its block and the static share types[i::workers-1] of the cycle
+    types (most cycles first), computes its own _share of the last block
+    meanwhile, with every cycle type if it is alone and none otherwise, and
+    then merges the workers' shares into its own: it adds their histograms,
+    joins their kept families and sums their orbit totals.  The start states
+    partition the tree's root-to-leaf paths, and keep looks at the key
+    alone, so each family is counted and kept by exactly one process; an
+    undecided set met below two blocks is walked twice, but its paths are
+    counted once.  A worker's exception is raised again here, and a worker
+    that exits without sending raises RuntimeError.  Every worker is stopped
+    and reaped before this returns or raises.
     """
     jobs = tuple(jobs)
     layout = _key_layout(jobs)
-    windows = layout[0]
-    types = _nonidentity_types(n) if windows else []
-    if workers == 1:
-        hist, kept = _Pass(n, jobs)()
-        return hist, kept, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
-                                            for cycle_type in types)
-    _tables(n)  # built once here, inherited by forked workers
+    types = _nonidentity_types(n) if layout[0] else []
+    # the tables and the codec are built here, and inherited by forked workers
     starts = _KeyWalk(n, _key_codec(n, *layout)).split(workers)
     blocks = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]
               for i in range(workers)]
@@ -908,12 +887,12 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
         for i in range(procs):
             receiver, sender = context.Pipe(duplex=False)
             process = context.Process(target=_worker, daemon=True,
-                                      args=(sender, n, jobs, blocks[i], windows, types[i::procs]))
+                                      args=(sender, n, jobs, blocks[i], types[i::procs]))
             process.start()
             running.append((process, receiver))
             sender.close()  # so that a worker's exit without sending reads as EOF
-        hist, kept = _Pass(n, jobs, blocks[-1])()
-        partial_sums = []
+        hist, kept, orbits = _share(n, jobs, blocks[-1], [] if procs else types)
+        sums = [orbits]
         for process, receiver in running:
             try:
                 ok, value = receiver.recv()
@@ -923,17 +902,17 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
                                    f"before sending its results") from None
             if not ok:
                 raise value
-            part_hist, part_kept, orbit_sum = value
+            part_hist, part_kept, part_sum = value
             hist.update(part_hist)
             for key, fams in part_kept.items():
                 kept.setdefault(key, []).extend(fams)
-            partial_sums.append(orbit_sum)
+            sums.append(part_sum)
     finally:
         for process, receiver in running:
             process.terminate()
             process.join()
             receiver.close()
-    return hist, kept, _nonidentity_sum(partial_sums)
+    return hist, kept, _nonidentity_sum(sums)
 
 
 def _tally(job: tuple[str, Params], hist: Counter, kept: dict, layout: tuple
@@ -1109,8 +1088,8 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
                      cap_override: bool = False, check: bool = True,
                      timing: bool = False) -> VerificationResults:
     """Run one enumeration pass at n serving all requested verification jobs."""
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
+    if not isinstance(workers, int) or workers < 1:
+        raise ParameterError(f"workers must be an integer of at least 1, got {workers!r}")
     _check_cap(n, cap_override)
     started = time.monotonic()
     jobs: list[tuple[str, Params]] = []

@@ -11,6 +11,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial
 from operator import and_
+from types import SimpleNamespace
 
 import pytest
 
@@ -412,7 +413,7 @@ def test_every_cell_report_bytes_pinned(n, digest):
         assert hashlib.sha256(_every_cell_blob(n, workers).encode()).hexdigest() == digest, workers
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
 def test_workers_below_one_rejected(monkeypatch, workers):
     def refuse(*args):
         raise AssertionError("no enumeration pass may start")
@@ -532,24 +533,26 @@ def _keys_by_definition(n, layout):
 
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("marks", ["jobs", "every key", "no key"])
-def test_walk_equals_leaf_by_leaf_under_every_cell(n, marks):
+def test_walk_equals_leaf_by_leaf_under_every_cell(monkeypatch, n, marks):
     """Every admissible cell's windows at once, so that ORing cover masks
     sends many node keys to one, with the jobs' keep, a keep that marks
-    every key and one that marks none."""
-    jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
+    every key and one that marks none.  _share over the root decides keep
+    through _findings, which the last two patch."""
+    jobs = tuple((kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS))
     layout = search._key_layout(jobs)
-    keep = {"jobs": lambda key: any(search._findings(job, key, layout) for job in jobs),
+    findings = search._findings
+    keep = {"jobs": lambda key: any(findings(job, key, layout) for job in jobs),
             "every key": lambda key: True, "no key": lambda key: False}[marks]
     expected_hist, expected_kept = Counter(), {}
     for bits, key in _keys_by_definition(n, layout):
         expected_hist[key] += 1
         if keep(key):
             expected_kept.setdefault(key, []).append(bits)
-    state = search._Pass(n, jobs)
     if marks != "jobs":
-        state.walk = search._KeyWalk(n, state.codec, lambda key: keep(state.decode(key)))
-    hist, kept = state()
-    assert (hist, _sorted_kept(kept)) == (expected_hist, _sorted_kept(expected_kept))
+        monkeypatch.setattr(search, "_findings",
+                            lambda job, key, layout: [("kept",)] if keep(key) else [])
+    hist, kept, orbits = search._share(n, jobs, search._KeyWalk(n).root, [])
+    assert (hist, _sorted_kept(kept), orbits) == (expected_hist, _sorted_kept(expected_kept), [])
 
 
 def _step_orders(steps):
@@ -569,7 +572,11 @@ def _sorted_kept(kept):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_walk_is_independent_of_the_step_order(n):
     jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
-    state = search._Pass(n, jobs)
+    layout = search._key_layout(jobs)
+    codec = search._key_codec(n, *layout)
+
+    def keep(key):
+        return any(search._findings(job, codec.decode(key), layout) for job in jobs)
     steps = search._decision_steps(n, search._tables(n).decisions)
     orders = _step_orders(steps)
     assert search._tables(n).steps == orders[1]
@@ -578,10 +585,10 @@ def test_walk_is_independent_of_the_step_order(n):
         assert orders[1] != steps  # the orders really differ
     results = []
     for order in orders:
-        hist, kept = search._KeyWalk(n, state.codec, state.keep, steps=order).histogram()
+        hist, kept = search._KeyWalk(n, codec, keep, steps=order).histogram()
         results.append((hist, _sorted_kept(kept)))
     # by default the walk counts in frontier order and collects in decision order
-    walk = search._KeyWalk(n, state.codec, state.keep)
+    walk = search._KeyWalk(n, codec, keep)
     assert (walk.steps, walk.collect_steps) == (orders[1], steps)
     hist, kept = walk.histogram()
     results.append((hist, _sorted_kept(kept)))
@@ -643,36 +650,65 @@ def test_orbit_walk_is_independent_of_the_step_order(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
-    """At two workers the caller walks a strict part of the tree, the last
-    of the root's two subtrees, and counts no orbits; the worker walks the
-    rest and counts every cycle type."""
+    """At two workers the caller's _share walks a strict part of the tree,
+    the last of the root's two subtrees, and counts no orbits; the worker
+    walks the rest and counts every cycle type."""
     jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
     windows = search._key_layout(jobs)[0]
     serial_hist, serial_kept, serial = search._run_pass(n, jobs, 1)
-    original_totals, original_call = search._cycle_type_totals, search._Pass.__call__
+    original_totals, original_share = search._cycle_type_totals, search._share
     caller = os.getpid()
-    tree_calls = []
+    shares = []
 
     def in_worker(*args):
         if os.getpid() == caller:
             raise AssertionError("a pass at two workers counts orbits in its worker, not in the caller")
         return original_totals(*args)
 
-    def tree(self):
-        hist, kept = original_call(self)
-        tree_calls.append((os.getpid(), self.block, sum(hist.values())))
-        return hist, kept
+    def share(*args):
+        hist, kept, orbits = original_share(*args)
+        # forked workers append to their own copy of shares
+        shares.append((os.getpid(), args[2], args[3], sum(hist.values())))
+        return hist, kept, orbits
     monkeypatch.setattr(search, "_cycle_type_totals", in_worker)
-    monkeypatch.setattr(search._Pass, "__call__", tree)
+    monkeypatch.setattr(search, "_share", share)
     hist, kept, orbits = search._run_pass(n, jobs, 2)
     assert (hist, _sorted_kept(kept), orbits) == (serial_hist, _sorted_kept(serial_kept), serial)
     assert len(serial) == 1 + len(windows)
-    [(pid, block, families)] = tree_calls
-    assert pid == caller
+    [(pid, block, types, families)] = shares
+    assert pid == caller and types == []
     # the second child of the root: (step index, U, family bits) without the key
     assert len(block) == 1 and block[0][:3] == search._KeyWalk(n).split(2)[1][:3]
     assert 0 < families < sum(serial_hist.values())
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_one_worker_computes_one_share_in_the_caller(monkeypatch, n):
+    """At one worker the pass is the caller's _share of the root with every
+    non-identity cycle type, returned as it is, and no process starts."""
+    jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
+    original = search._share
+    shares = []
+
+    def share(*args):
+        shares.append((args, original(*args)))
+        return shares[-1][1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pass at one worker starts no process")
+    monkeypatch.setattr(search, "_share", share)
+    monkeypatch.setattr(search, "get_context",
+                        lambda: SimpleNamespace(Pipe=refuse, Process=refuse))
+    hist, kept, orbits = search._run_pass(n, jobs, 1)
+    [((got_n, got_jobs, block, types), (share_hist, share_kept, share_orbits))] = shares
+    proper = (1 << ((1 << n) - 1)) - 2
+    assert (got_n, got_jobs, block) == (n, tuple(jobs), [(0, proper, 0, 0)])
+    assert types == search._nonidentity_types(n) and len(types) > 1
+    assert hist is share_hist and kept is share_kept and orbits == share_orbits
+    assert sum(hist.values()) == MAXIMAL_COUNTS[n] and kept
+    windows = search._key_layout(jobs)[0]
+    assert len(orbits) == 1 + len(windows) and orbits[0] > 0
 
 
 def _all_keys_codec(n):
@@ -737,8 +773,9 @@ def test_pass_at_n7_equal_across_workers():
     jobs.append((search.LEMMAS, Params(7, 4, 2)))
     hist, kept, orbits = search._run_pass(7, jobs, 1)
     assert sum(hist.values()) == 1422564 and orbits
-    walk = search._Pass(7, jobs).walk
-    halves = [sum(map(len, walk.histogram([start])[1].values())) for start in walk.split(2)]
+    starts = search._KeyWalk(7, search._key_codec(7, *search._key_layout(jobs))).split(2)
+    halves = [sum(map(len, search._share(7, tuple(jobs), [start], [])[1].values()))
+              for start in starts]
     assert all(halves) and sum(halves) == sum(map(len, kept.values()))
     for workers in (2, 3, 4):
         got_hist, got_kept, got_orbits = search._run_pass(7, jobs, workers)
@@ -782,11 +819,14 @@ except RuntimeError as exc:
 
 
 def test_caller_exception_leaves_no_worker_running(monkeypatch):
-    def broken(self):
-        raise InvariantError("broken tree walk")
-    monkeypatch.setattr(search._Pass, "__call__", broken)
-    # forked workers stay busy, so only stopping them leaves none running
-    monkeypatch.setattr(search, "_cycle_type_totals", lambda *args: time.sleep(60))
+    caller = os.getpid()
+
+    def broken(*share):
+        if os.getpid() == caller:
+            raise InvariantError("broken tree walk")
+        # forked workers stay busy, so only stopping them leaves none running
+        time.sleep(60)
+    monkeypatch.setattr(search, "_share", broken)
     for workers in (2, 3):
         with pytest.raises(InvariantError, match="broken tree walk"):
             run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
