@@ -18,10 +18,10 @@ _element_colors digests each distinct value once.
 
 Set families get the same encoding without the permutation search below
 (subsets.canonical_set_family).  The class-consistent images of a family are
-the orbit of any one of them under the transpositions inside the position
-blocks, so they are closed on the family bitset by delta swaps; with
-position p written as bit n-1-p the least sorted member list is a single
-reduce over that orbit.  canonical_vectors and find_isomorphism serve
+the orbit of any one of them under the symmetric groups of the position
+blocks, so they are closed on the family bitset by a coset chain of delta
+swaps; with position p written as bit n-1-p the least sorted member list is
+a single reduce over that orbit.  canonical_vectors and find_isomorphism serve
 multiset families and set_families_isomorphic.
 """
 

@@ -45,10 +45,19 @@ by the same walk over a pair system whose items are the orbits of subsets
 under the permutation, an orbit's closure being the union of its members'
 closures.  Such a system conflicts only inside one outcome (an orbit holding
 two disjoint subsets), so once those outcomes are dropped its completions
-too depend on U alone.  Achievers are grouped into classes by orbit closure
-under the adjacent transpositions, and each class is encoded once per
-process through its least member, so theorem cells that share an achiever
-orbit share its encoding.
+too depend on U alone.  Achievers are grouped into classes by orbit
+closure.  An S_n-orbit is built along the stabiliser chain S_1 < S_2 < ...
+< S_n (Sims 1970; Butler, LNCS 559, 1991): the orbit under the first k
+positions goes to the first k+1 through the k+1 coset representatives
+(k k-1 ... j), each one adjacent delta swap on the image before, so a
+member costs about one swap on the family bitset.  The theorem cells of a
+pass are grouped together: each distinct orbit is closed once, through its
+least member, checked against every cell that holds it and dropped, and
+encoded once per process.  The orbit of the shadow's valuable part, which
+the uniqueness verdict and the rigidity lemma read, is closed once per pass
+too.  So the benchmark's n=6 job set closes 30 orbits: the 29 distinct
+orbits among the 59 achiever classes of its four theorem cells, and one
+shadow orbit that two theorem cells and both lemma cells share.
 
 A pass is the whole tree's key histogram with its kept families, and the
 invariant-family totals of each non-identity cycle type.  At W workers it
@@ -62,12 +71,9 @@ merges into it the shares the workers send back through pipes.  A subtree
 walked on its own meets again the undecided sets it shares with the others,
 but in the frontier order the root's two subtrees share few: at n=7 they
 meet 3,658 and 9,283 U against 11,740 for the whole tree, at n=8 2.34M and
-2.28M against 3.86M.  The (8,4,2) theorem and lemma pass at two workers took
-0.61 and 0.68 of the time it took when the caller walked the whole tree
-and a worker only counted orbits (25.3 against 41.3 s and 15.2 against
-22.6 s, two rounds on a 2-core Xeon whose speed drifted between them,
-Python 3.11), with each process peaking at about 260 MB instead of the
-caller's 424 MB.
+2.28M against 3.86M.  BENCH_split.json holds the (8,4,2) theorem and lemma
+pass at two workers against a caller that walked the whole tree while a
+worker only counted orbits, with the peak of each process.
 All per-family collections are sorted before reporting, and violation lists
 are cut to their first entries only after that sort, so report bytes do not
 depend on the worker count.
@@ -667,8 +673,8 @@ def _orbit_count(n: int, burnside_total: int) -> int:
 
 
 def _orbit(n: int, bits: int) -> set[int]:
-    """The S_n-orbit of a family bitset: its closure under the adjacent transpositions."""
-    return _swap_closure(bits, _transpositions(n))
+    """The S_n-orbit of a family bitset, by the coset chain over all n positions."""
+    return _swap_closure(bits, (_transpositions(n),))
 
 
 # ---------------------------------------------------------------------------
@@ -940,22 +946,32 @@ def _family_json(bits: int, n: int) -> list[list[int]]:
     return [list(m) for m in SetFamily(n=n, bits=bits).member_sets()]
 
 
-def _achiever_classes(n: int, achiever_bits: Sequence[int]) -> list[tuple[SetFamily, int, tuple]]:
-    """Achievers as S_n-orbits: (least member, orbit size, canonical encoding), by encoding.
+def _achiever_classes(n: int, cells: Sequence[Sequence[int]]
+                      ) -> list[list[tuple[SetFamily, int, tuple]]]:
+    """Each cell's achievers as S_n-orbits: (least member, orbit size, canonical encoding), by encoding.
 
-    Achieving is invariant under relabelling, so the achievers must be a union of orbits.
+    Each cell is a sorted list of family bitsets.  Achieving is invariant
+    under relabelling, so a cell's achievers must be a union of orbits.  An
+    orbit is closed when the first cell that holds it reaches its least
+    member, checked against that cell and every later one holding the
+    member, and dropped: each distinct orbit is closed once.
     """
-    unclaimed = set(achiever_bits)
-    classes = []
-    for bits in sorted(achiever_bits):
-        if bits not in unclaimed:
-            continue
-        orbit = _orbit(n, bits)
-        if not orbit <= unclaimed:
-            raise InvariantError(f"a relabelling of achiever {bits:#x} is not an achiever")
-        unclaimed -= orbit
-        classes.append((SetFamily(n=n, bits=bits), len(orbit), _orbit_encoding(n, bits)))
-    classes.sort(key=lambda item: item[2])
+    unclaimed = [set(cell) for cell in cells]
+    classes: list[list] = [[] for _ in cells]
+    for i, (cell, own) in enumerate(zip(cells, unclaimed)):
+        for bits in cell:
+            if bits not in own:
+                continue
+            orbit = _orbit(n, bits)
+            for rest, out in zip(unclaimed[i:], classes[i:]):
+                if bits not in rest:
+                    continue
+                if not orbit <= rest:
+                    raise InvariantError(f"a relabelling of achiever {bits:#x} is not an achiever")
+                rest -= orbit
+                out.append((SetFamily(n=n, bits=bits), len(orbit), _orbit_encoding(n, bits)))
+    for out in classes:
+        out.sort(key=lambda item: item[2])
     return classes
 
 
@@ -970,21 +986,21 @@ def _orbit_encoding(n: int, least: int) -> tuple:
 
 
 def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,
-                      iso_classes: int, runtime_ms: int | None) -> TheoremReport:
+                      iso_classes: int, runtime_ms: int | None, classes: list,
+                      shadow_orbit: Callable[[Params], set[int]]) -> TheoremReport:
+    """The theorem report of one cell, from its achiever classes and its shadow's orbit."""
     n = p.n
     bound = _job_constants(p).bound
     violations = [
         {"type": "bound-exceeded", "size": size, "bound": bound, "family": _family_json(bits, n)}
         for bits, size in found["bound-exceeded"][:_VIOLATION_CAP]
     ]
-    classes = _achiever_classes(n, [bits for bits, in found[ACHIEVER]])
-    unique_required = uniqueness_condition(p)
-    if unique_required:
+    if uniqueness_condition(p):
         # the multiset family is fixed by its valuable part, so uniqueness
         # counts the S_n-orbits of the achievers' valuable parts
-        shadow_orbit = _orbit(n, hm_shadow_valuable(p).bits)
+        shadow = shadow_orbit(p)
         valuable = [valuable_part(fam, p).bits for fam, _, _ in classes]
-        valuable_orbits = len({min(shadow_orbit if vp in shadow_orbit else _orbit(n, vp))
+        valuable_orbits = len({min(shadow if vp in shadow else _orbit(n, vp))
                                for vp in valuable})
         verdict = "unique-iso" if valuable_orbits == 1 else "multiple-iso"
         if valuable_orbits != 1:
@@ -993,7 +1009,7 @@ def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,
                 "achiever_classes": valuable_orbits,
             })
         for (_, _, enc), vp in zip(classes, valuable):
-            if vp not in shadow_orbit:
+            if vp not in shadow:
                 violations.append({
                     "type": "achiever-not-shadow",
                     "family": [list(m) for m in enc],
@@ -1015,7 +1031,8 @@ def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,
 
 
 def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
-                     iso_classes: int, runtime_ms: int | None) -> dict[str, LemmaReport]:
+                     iso_classes: int, runtime_ms: int | None,
+                     shadow_orbit: Callable[[Params], set[int]]) -> dict[str, LemmaReport]:
     n = p.n
     v_sizes = _job_constants(p).v_sizes
     removed = [
@@ -1037,10 +1054,10 @@ def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
         }
         for bits, l, got, want in found["valuable-layer-mismatch"][:_VIOLATION_CAP]
     ]
-    shadow_orbit = _orbit(n, hm_shadow_valuable(p).bits)
+    shadow = shadow_orbit(p)
     candidates = found[RIGIDITY_CANDIDATE]
     for bits, in candidates:
-        if valuable_part(SetFamily(n=n, bits=bits), p).bits not in shadow_orbit:
+        if valuable_part(SetFamily(n=n, bits=bits), p).bits not in shadow:
             rigid.append({"type": "valuable-part-not-isomorphic", "family": _family_json(bits, n)})
     notices = []
     if v_sizes[p.q] == 0:
@@ -1110,19 +1127,33 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
 
     runtime_ms = int((time.monotonic() - started) * 1000) if timing else None
 
+    tallies = [_tally(job, hist, kept, layout) for job in jobs]
+    # every distinct orbit is closed once per pass: the achiever orbits
+    # across the theorem cells, and the shadow's valuable part per window.
+    # The achievers leave their tallies, so that their (bits,) entries are
+    # freed before the orbits are claimed: (7,6,inf) has 1.42M of them.
+    classes = iter(_achiever_classes(n, [[bits for bits, in found.pop(ACHIEVER, ())]
+                                         for (kind, _), (_, found) in zip(jobs, tallies)
+                                         if kind == THEOREM]))
+    shadow_orbits: dict[int, set[int]] = {}
+
+    def shadow_orbit(p: Params) -> set[int]:
+        bits = hm_shadow_valuable(p).bits
+        if bits not in shadow_orbits:
+            shadow_orbits[bits] = _orbit(n, bits)
+        return shadow_orbits[bits]
+
     theorem_reports = []
     lemma_bundles = []
-    for kind, p in jobs:
-        checked, found = _tally((kind, p), hist, kept, layout)
+    for (kind, p), (checked, found) in zip(jobs, tallies):
         iso_classes = _orbit_count(n, checked + nonidentity[1 + windows.index((p.q, p.k))])
         if kind == THEOREM:
-            theorem_reports.append(
-                _finalize_theorem(p, checked, found, families_total, iso_classes, runtime_ms)
-            )
+            theorem_reports.append(_finalize_theorem(
+                p, checked, found, families_total, iso_classes, runtime_ms,
+                next(classes), shadow_orbit))
         else:
-            lemma_bundles.append(
-                _finalize_lemmas(p, checked, found, families_total, iso_classes, runtime_ms)
-            )
+            lemma_bundles.append(_finalize_lemmas(
+                p, checked, found, families_total, iso_classes, runtime_ms, shadow_orbit))
     return VerificationResults(
         families_total=families_total,
         theorem_reports=tuple(theorem_reports),

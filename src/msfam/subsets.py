@@ -303,8 +303,15 @@ def twist(star: SetFamily, d: SetFamily) -> SetFamily:
     return SetFamily(n=star.n, bits=(star.bits & ~d.bits) | dual(d).bits)
 
 
+@lru_cache(maxsize=None)
+def _vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    """_vectors(n)[x] is the 0/1 vector of subset mask x, position e for element e+1."""
+    return tuple(tuple((x >> e) & 1 for e in range(n)) for x in range(1 << n))
+
+
 def _member_vectors(fam: SetFamily) -> list[tuple[int, ...]]:
-    return [tuple((x >> e) & 1 for e in range(fam.n)) for x in fam.members()]
+    vectors = _vectors(fam.n)
+    return [vectors[x] for x in fam.members()]
 
 
 def _permute_mask(x: int, perm: Sequence[int], n: int) -> int:
@@ -328,23 +335,42 @@ def _transpositions(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _swap_closure(bits: int, moves: Sequence[tuple[int, int]]) -> set[int]:
-    """Every family bitset reachable from bits by the delta swaps in moves, bits included.
+def _relabel(bits: int, perm: Sequence[int], n: int) -> int:
+    """The family bitset with element e of every member moved to position perm[e].
 
-    With moves a set of transpositions, this is the orbit of bits under the
-    group they generate.
+    A bubble sort of perm, applying each adjacent swap it makes to bits.
     """
-    seen = {bits}
-    todo = [bits]
-    while todo:
-        f = todo.pop()
-        for shift, mask in moves:
-            t = (f ^ (f >> shift)) & mask
-            g = f ^ t ^ (t << shift)
-            if g not in seen:
-                seen.add(g)
-                todo.append(g)
-    return seen
+    moves = _transpositions(n)
+    target = list(perm)
+    for end in range(n - 1, 0, -1):
+        for i in range(end):
+            if target[i] > target[i + 1]:
+                target[i], target[i + 1] = target[i + 1], target[i]
+                shift, mask = moves[i]
+                t = (bits ^ (bits >> shift)) & mask
+                bits ^= t ^ (t << shift)
+    return bits
+
+
+def _swap_closure(bits: int, runs: Sequence[Sequence[tuple[int, int]]]) -> set[int]:
+    """The orbit of a family bitset under the symmetric groups of runs of positions.
+
+    A run of positions b..b+L-1 is given as the delta swaps of its adjacent
+    transpositions (b b+1), ..., (b+L-2 b+L-1), and the group is the product
+    of the runs' symmetric groups.  The orbit is built along the stabiliser
+    chain S_1 < S_2 < ... of each run: the orbit under the first k positions
+    goes to the first k+1 through the coset representatives (k k-1 ... j),
+    j = k..0 of the run, each one adjacent swap more than the one before, and
+    each level is deduplicated.  An orbit member costs about one swap.
+    """
+    level = {bits}
+    for run in runs:
+        for k in range(len(run)):
+            images = list(level)
+            for shift, mask in run[k::-1]:
+                images = [f ^ (t := (f ^ (f >> shift)) & mask) ^ (t << shift) for f in images]
+                level.update(images)
+    return level
 
 
 def set_families_isomorphic(fam: SetFamily, other: SetFamily) -> tuple[bool, tuple[int, ...] | None]:
@@ -365,28 +391,29 @@ def canonical_set_family(fam: SetFamily) -> tuple[tuple[int, ...], ...]:
     The encoding is that of canonical.canonical_vectors on the member vectors:
     the least sorted member list over the relabelings that send each colour
     class onto its position block.  Those images are the orbit of one of them
-    under the transpositions inside the blocks, searched here on the family
-    bitset.  Position p is written as bit n-1-p, so that the vector order of
-    members is the integer order of their masks; then of two families of
-    equal size the one with the smaller sorted member list holds the lowest
-    bit of their XOR.
+    under the symmetric groups of the blocks, closed here on the family
+    bitset by _swap_closure's coset chain, one run per block.  Position p is
+    written as bit n-1-p, so that the vector order of members is the integer
+    order of their masks; then of two families of equal size the one with
+    the smaller sorted member list holds the lowest bit of their XOR.  The
+    block relabelling and the final bit reversal are adjacent delta swaps
+    on the family bitset too (_relabel).
     """
     n = fam.n
     classes = canonical._color_classes(canonical._element_colors(_member_vectors(fam), n))
     image = [0] * n  # the block order of positions, position p as bit n-1-p
-    moves = []
+    runs = []
     bit = n
     for cls in classes:
         for e in cls:
             bit -= 1
             image[e] = bit
-        moves += _transpositions(n)[bit:bit + len(cls) - 1]
-    start = sum(1 << _permute_mask(x, image, n) for x in fam.members())
+        runs.append(_transpositions(n)[bit:bit + len(cls) - 1])
+    start = _relabel(fam.bits, image, n)
     best = start
-    for g in _swap_closure(start, moves):
+    for g in _swap_closure(start, runs):
         diff = g ^ best
         if g & diff & -diff:
             best = g
-    reverse = range(n - 1, -1, -1)
-    least = sum(1 << _permute_mask(x, reverse, n) for x in SetFamily(n=n, bits=best).members())
+    least = _relabel(best, range(n - 1, -1, -1), n)
     return SetFamily(n=n, bits=least).member_sets()

@@ -169,8 +169,8 @@ def _achievers(n, k, m_key):
 
 @pytest.mark.parametrize("n,k,m_key", [(5, 4, None), (6, 4, 2)])
 def test_orbit_classes_match_canonical_grouping(n, k, m_key):
-    achievers = _achievers(n, k, m_key)
-    classes = search._achiever_classes(n, achievers)
+    achievers = sorted(_achievers(n, k, m_key))
+    [classes] = search._achiever_classes(n, [achievers])
     by_canonical = Counter(canonical_set_family(SetFamily(n=n, bits=b)) for b in achievers)
     assert {enc: size for _, size, enc in classes} == by_canonical
     assert all(factorial(n) % size == 0 for _, size, _ in classes)
@@ -189,7 +189,7 @@ def test_orbit_encoding_cache_is_exact_every_n6_cell(monkeypatch):
     cold = []
     for achievers in cells:
         search._orbit_encoding.cache_clear()
-        cold.append(search._achiever_classes(6, achievers))
+        cold += search._achiever_classes(6, [achievers])
     encoded = []
     original = search.canonical_set_family
     monkeypatch.setattr(search, "canonical_set_family",
@@ -197,8 +197,8 @@ def test_orbit_encoding_cache_is_exact_every_n6_cell(monkeypatch):
     search._orbit_encoding.cache_clear()
     # the cache stays warm from one cell to the next
     for achievers, expected in zip(cells, cold):
-        assert search._achiever_classes(6, achievers) == expected
-        assert search._achiever_classes(6, achievers) == expected
+        assert search._achiever_classes(6, [achievers]) == [expected]
+        assert search._achiever_classes(6, [achievers]) == [expected]
     assert search._orbit_encoding.cache_info().hits > 0
     # each orbit is encoded once, through its least member
     reps = {fam.bits for classes in cold for fam, _, _ in classes}
@@ -206,12 +206,57 @@ def test_orbit_encoding_cache_is_exact_every_n6_cell(monkeypatch):
 
 
 def test_achiever_classes_reject_a_broken_orbit():
-    achievers = _achievers(5, 4, None)
-    rep = max(search._achiever_classes(5, achievers), key=lambda c: c[1])[0]
+    achievers = sorted(_achievers(5, 4, None))
+    [classes] = search._achiever_classes(5, [achievers])
+    rep = max(classes, key=lambda c: c[1])[0]
     victim = max(search._orbit(5, rep.bits))
     assert victim != rep.bits
     with pytest.raises(InvariantError):
-        search._achiever_classes(5, [b for b in achievers if b != victim])
+        search._achiever_classes(5, [[b for b in achievers if b != victim]])
+
+
+# the n=6 job set of the benchmark: its four theorem cells hold 59 achiever
+# classes of 29 distinct orbits
+N6_THEOREM_CELLS = (Params(6, 4, 2), Params(6, 4, 3), Params(6, 4, UNBOUNDED), Params(6, 5, UNBOUNDED))
+N6_LEMMA_CELLS = (Params(6, 4, 2), Params(6, 4, UNBOUNDED))
+
+
+def test_n6_job_set_closes_each_orbit_once_per_pass(monkeypatch):
+    closed = []
+    original = search._orbit
+
+    def orbit(n, bits):
+        closed.append(original(n, bits))
+        return closed[-1]
+
+    monkeypatch.setattr(search, "_orbit", orbit)
+    res = run_verification(6, N6_THEOREM_CELLS, N6_LEMMA_CELLS)
+    assert [len(r.achiever_class_sizes) for r in res.theorem_reports] == [28, 1, 1, 29]
+    # the 29 achiever orbits, and the one orbit of the shadow's valuable part
+    # that the (6,4,3) and (6,4,inf) theorem cells and both lemma cells ask for
+    assert len(closed) == 30
+    assert sum(map(len, closed)) == 2670
+    assert len({min(orbit) for orbit in closed}) == 30
+
+
+@pytest.mark.parametrize("victim_of", [min, max])
+def test_broken_orbit_in_the_second_cell_sharing_it_raises(monkeypatch, victim_of):
+    # (6,4,3) and (6,4,inf) hold the same 30-member achiever orbit; one of
+    # its members, its least or another, is dropped from the second cell only
+    first, second = Params(6, 4, 3), Params(6, 4, UNBOUNDED)
+    original = search._tally
+
+    def tally(job, *args):
+        checked, found = original(job, *args)
+        if job == (search.THEOREM, second):
+            victim = victim_of(found[search.ACHIEVER])
+            found[search.ACHIEVER].remove(victim)
+        return checked, found
+
+    assert run_verification(6, [first, second]).theorem_reports[1].achiever_class_sizes == (30,)
+    monkeypatch.setattr(search, "_tally", tally)
+    with pytest.raises(InvariantError):
+        run_verification(6, [first, second])
 
 
 # a patch of the module reaches the orbit-counting workers only if they are forked
@@ -310,6 +355,18 @@ def test_uniqueness_counts_valuable_part_orbits():
     assert report.uniqueness_verdict == "multiple-iso"
     assert [v for v in report.lemma_violations if v["type"] == "uniqueness-failed"] == [
         {"type": "uniqueness-failed", "achiever_classes": 2}]
+
+
+@pytest.mark.slow
+def test_keep_everything_cell_7_6_inf():
+    # every family but the 7 stars qualifies and achieves, so the pass keeps
+    # and groups 1,422,557 families
+    report = verify_hm_theorem(7, 6, UNBOUNDED)
+    assert len(report.achievers) == len(report.achiever_class_sizes) == 715
+    assert sum(report.achiever_class_sizes) == report.families_checked == 1422557
+    assert report.iso_classes_checked == 715
+    assert report.uniqueness_verdict == "not-applicable"
+    assert report.passed
 
 
 def test_theorem_unbounded_boundary():

@@ -1,8 +1,10 @@
 """Subset universe: duals, layers, the shadow family, and structural predicates."""
 
+import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msfam import (
     Params, ParameterError, SetFamily, build_hm_shadow, build_removed_part, build_star,
@@ -11,6 +13,7 @@ from msfam import (
     is_maximal_intersecting_sf, is_up_set, mask_from_elements, pair_rule_holds, twist,
     uniform_part, union_never_full, valuable_part,
 )
+from msfam.subsets import _permute_mask, _relabel, _swap_closure, _transpositions
 
 from conftest import brute_shadow_members
 
@@ -203,3 +206,69 @@ def test_removed_part_survives_in_star_minus_shadow():
     diff = SetFamily(n=7, bits=star.bits & ~shadow.bits)
     assert diff == build_removed_part(p)
     assert uniform_part(diff, p.n - p.k).bits != 0
+
+
+def _bfs_closure(bits, moves):
+    """Reference orbit: every bitset reachable from bits by the delta swaps in moves."""
+    seen = {bits}
+    todo = [bits]
+    while todo:
+        f = todo.pop()
+        for shift, mask in moves:
+            t = (f ^ (f >> shift)) & mask
+            g = f ^ t ^ (t << shift)
+            if g not in seen:
+                seen.add(g)
+                todo.append(g)
+    return seen
+
+
+def _chain_skipping_last_representative(bits, runs):
+    """_swap_closure without the last coset representative (k ... 0) of each level."""
+    level = {bits}
+    for run in runs:
+        for k in range(len(run)):
+            images = list(level)
+            for shift, mask in run[k:0:-1]:
+                images = [f ^ (t := (f ^ (f >> shift)) & mask) ^ (t << shift) for f in images]
+                level.update(images)
+    return level
+
+
+def _check_closure_equals_bfs(closure):
+    """closure against the reference on random family bitsets at n <= 6, under
+    a random layout of consecutive position blocks and under the whole of S_n."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 6), label="n")
+        bits = random.Random(data.draw(st.integers(0, 2**32), label="seed")).getrandbits(1 << n)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)), label="cuts"))
+        moves = _transpositions(n)
+        for bounds in (zip([0, *cuts], [*cuts, n]), [(0, n)]):
+            runs = [moves[start:stop - 1] for start, stop in bounds]
+            flat = [move for run in runs for move in run]
+            assert closure(bits, runs) == _bfs_closure(bits, flat), (n, bits, cuts)
+
+    check()
+
+
+def test_coset_chain_closure_equals_bfs_closure():
+    _check_closure_equals_bfs(_swap_closure)
+
+
+def test_closure_check_catches_a_skipped_coset_representative():
+    with pytest.raises(AssertionError):
+        _check_closure_equals_bfs(_chain_skipping_last_representative)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_relabel_by_delta_swaps_equals_per_member_permutation(n):
+    rng = random.Random(4113 + n)
+    for _ in range(40):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        bits = rng.getrandbits(1 << n)
+        members = [x for x in range(1 << n) if bits >> x & 1]
+        assert _relabel(bits, perm, n) == sum(1 << _permute_mask(x, perm, n) for x in members)
