@@ -9,12 +9,16 @@ fixed position blocks are searched.  Two families get the same canonical form
 iff they are isomorphic; the search space is the product of class factorials
 rather than n!.
 
-Colors are condensed to fixed-width digests after every refinement round.
+Colors are condensed to fixed-width digests after every refinement round:
+the blake2b digest of the repr of a sorted tuple of (value, color) pairs.
 Digests are value-determined (no process-salted hashing), so they compare
 consistently across families, runs, and worker processes; a digest collision
 could only merge color classes, which widens the search but never changes
-results.  Many positions and members share a signature, so one call of
-_element_colors digests each distinct value once.
+results.  Such a tuple is fixed by how often each pair occurs, so
+_element_colors works on per-value position masks, takes every count as a
+popcount and writes each distinct digested string straight from its counts.
+Set families pass their member masks as they are; member vectors are turned
+into per-value masks once (_planes).
 
 Set families get the same encoding without the permutation search below
 (subsets.canonical_set_family).  The class-consistent images of a family are
@@ -27,48 +31,168 @@ multiset families and set_families_isomorphic.
 
 from __future__ import annotations
 
+from functools import reduce
 from hashlib import blake2b
 from itertools import permutations
-from typing import Sequence
+from operator import or_
+from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 
 _REFINE_ROUNDS = 2
 
 
-def _digest(value) -> int:
-    return int.from_bytes(blake2b(repr(value).encode(), digest_size=8).digest(), "big")
+def _digest(text: str) -> int:
+    return int.from_bytes(blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
-def _element_colors(items: Sequence[Vector], n: int) -> list[int]:
+def _tuple_repr(pieces: Sequence[str], counts: Sequence[int], total: int) -> str:
+    """repr of the tuple holding counts[i] copies of the pair whose repr is
+    pieces[i] minus its trailing ", ", in the order of pieces; total is the
+    sum of counts."""
+    body = "".join([piece * c for piece, c in zip(pieces, counts) if c])
+    if total > 1:
+        return "(" + body[:-2] + ")"
+    return "(" + body[:-1] + ")" if total else "()"
+
+
+def _groups(labels: Sequence[int]) -> list[tuple[int, int]]:
+    """(label, bitset of the indices holding it), by label."""
+    out: dict[int, int] = {}
+    for i, label in enumerate(labels):
+        out[label] = out.get(label, 0) | 1 << i
+    return sorted(out.items())
+
+
+def _binary_count(bitsets: Iterable[int]) -> list[int]:
+    """The binary digits, least significant first, of how many of the
+    bitsets hold each index, each digit as the bitset of the indices at
+    which it is 1."""
+    digits: list[int] = []
+    for x in bitsets:
+        i = 0
+        while x:
+            if i == len(digits):
+                digits.append(x)
+                break
+            carry = digits[i] & x
+            digits[i] ^= x
+            x = carry
+            i += 1
+    return digits
+
+
+def _element_colors(planes: Sequence[Sequence[int]], n: int) -> list[int]:
     """Iso-invariant color per position, refined a fixed number of rounds.
 
-    Many positions and members share a signature, so each distinct value is
-    digested once per call.
+    planes[v-1][j] is the mask of the positions (position e as bit e) at
+    which member j holds value v, for v = 1, 2, ...; member j holds 0 at
+    the other positions.  A set family is the single plane of its member
+    masks.  A color is the digest of the repr of a sorted tuple of pairs:
+    a position's starts as its (member size, value) pairs over the members;
+    each round a member gets its (value, position color) pairs over the
+    positions, and then a position the pair (its color, its (value, member
+    color) pairs over the members).  Such a tuple is fixed by how many
+    members (positions) of each class hold each value at a position
+    (member), so it is written from those counts, and equal counts share
+    a digest.  A position's counts are popcounts of per-value bitsets of
+    members.  The members with equal counts are found all at once: per
+    value and position class, the binary digits of each member's count
+    are bitsets over the members, and members split wherever a digit does.
     """
-    memo: dict = {}
+    m = len(planes[0])
+    everyone = (1 << m) - 1
+    full = (1 << n) - 1
+    values = range(len(planes) + 1)
+    zeros = [full] * m
+    sizes = [0] * m
+    for v, masks in enumerate(planes, 1):
+        zeros = [z ^ x for z, x in zip(zeros, masks)]
+        sizes = [s + v * x.bit_count() for s, x in zip(sizes, masks)]
+    # rows[j][v]: the positions at which member j holds v
+    rows = list(zip(zeros, *planes))
+    # cols[e][v]: the members that hold v at position e
+    cols = [[0] * len(values) for _ in range(n)]
+    for v, masks in enumerate(planes, 1):
+        for j, x in enumerate(masks):
+            while x:
+                low = x & -x
+                cols[low.bit_length() - 1][v] |= 1 << j
+                x ^= low
+    for col in cols:
+        col[0] = everyone ^ reduce(or_, col)
 
-    def digest(value) -> int:
-        d = memo.get(value)
-        if d is None:
-            d = memo[value] = _digest(value)
-        return d
+    def position_colors(classes: list[tuple[int, int]], heads: Sequence[int] | None
+                        ) -> list[int]:
+        # A position's (member size, value) pairs when heads is None, else
+        # its (value, member color) pairs headed by its color; classes are
+        # the (size or color, members) in order.  The counts at values >= 1
+        # key the memo; those at value 0 follow from them.
+        groups = [group for _, group in classes]
+        if heads is None:
+            pieces = [f"({label}, {v}), " for label, _ in classes for v in values]
+        else:
+            pieces = [f"({v}, {label}), " for v in values for label, _ in classes]
+        memo: dict = {}
+        out = []
+        for e, col in enumerate(cols):
+            head = None if heads is None else heads[e]
+            key = (head, *[(x & group).bit_count() for x in col[1:] for group in groups])
+            d = memo.get(key)
+            if d is None:
+                counts = [(x & group).bit_count() for x in col for group in groups]
+                if heads is None:
+                    width = len(groups)
+                    counts = [counts[g + v * width] for g in range(width) for v in values]
+                text = _tuple_repr(pieces, counts, m)
+                d = memo[key] = _digest(text if heads is None else f"({head}, {text})")
+            out.append(d)
+        return out
 
-    sizes = [sum(it) for it in items]
-    colors = [
-        digest(tuple(sorted((sizes[j], it[e]) for j, it in enumerate(items))))
-        for e in range(n)
-    ]
+    def member_colors(classes: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        # (color, members) by color; classes are the (color, positions) in order
+        parts = [everyone] if m else []
+        for v in values[1:]:
+            for _, mask in classes:
+                column = []
+                while mask:
+                    low = mask & -mask
+                    column.append(cols[low.bit_length() - 1][v])
+                    mask ^= low
+                for digit in _binary_count(column):
+                    split = []
+                    for part in parts:
+                        inside = part & digit
+                        if inside and inside != part:
+                            split += (inside, part ^ inside)
+                        else:
+                            split.append(part)
+                    parts = split
+        pieces = [f"({v}, {label}), " for v in values for label, _ in classes]
+        out: dict[int, int] = {}
+        for part in parts:
+            row = rows[(part & -part).bit_length() - 1]
+            d = _digest(_tuple_repr(pieces, [(x & mask).bit_count() for x in row
+                                             for _, mask in classes], n))
+            out[d] = out.get(d, 0) | part
+        return sorted(out.items())
+
+    colors = position_colors(_groups(sizes), None)
     for _ in range(_REFINE_ROUNDS):
-        item_colors = [
-            digest(tuple(sorted((it[e], colors[e]) for e in range(n))))
-            for it in items
-        ]
-        colors = [
-            digest((colors[e], tuple(sorted((it[e], item_colors[j]) for j, it in enumerate(items)))))
-            for e in range(n)
-        ]
+        colors = position_colors(member_colors(_groups(colors)), colors)
     return colors
+
+
+def _planes(items: Sequence[Vector]) -> list[list[int]]:
+    """The member vectors as _element_colors takes them: per value v >= 1,
+    the mask of the positions at which each member holds v."""
+    top = max((v for it in items for v in it), default=0)
+    planes = [[0] * len(items) for _ in range(max(top, 1))]
+    for j, it in enumerate(items):
+        for e, v in enumerate(it):
+            if v:
+                planes[v - 1][j] |= 1 << e
+    return planes
 
 
 def _color_classes(colors: list[int]) -> list[list[int]]:
@@ -98,7 +222,7 @@ def canonical_vectors(items: Sequence[Vector], n: int) -> tuple[Vector, ...]:
     items = [tuple(it) for it in items]
     if not items:
         return ()
-    classes = _color_classes(_element_colors(items, n))
+    classes = _color_classes(_element_colors(_planes(items), n))
     starts = []
     pos = 0
     for cls in classes:
@@ -137,8 +261,8 @@ def find_isomorphism(items_a: Sequence[Vector], items_b: Sequence[Vector], n: in
         return None
     if sorted(items_a) == sorted(items_b):
         return list(range(n))
-    colors_a = _element_colors(items_a, n)
-    colors_b = _element_colors(items_b, n)
+    colors_a = _element_colors(_planes(items_a), n)
+    colors_b = _element_colors(_planes(items_b), n)
     if sorted(colors_a) != sorted(colors_b):
         return None
     candidates_by_color: dict[int, list[int]] = {}

@@ -922,17 +922,19 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
 
 
 def _tally(job: tuple[str, Params], hist: Counter, kept: dict, layout: tuple
-           ) -> tuple[int, dict[str, list[tuple]]]:
-    """The families one job checked, and its findings by name as sorted (bits, *details)."""
+           ) -> tuple[int, dict[str, list]]:
+    """The families one job checked, and its findings by name, sorted: the
+    family bitsets of a finding without details (an achiever, say), else
+    (bits, *details)."""
     checked = 0
-    found: dict[str, list[tuple]] = defaultdict(list)
+    found: dict[str, list] = defaultdict(list)
     for key, count in hist.items():
         findings = _findings(job, key, layout)
         if findings is None:
             continue
         checked += count
         for name, *details in findings:
-            found[name] += [(bits, *details) for bits in kept[key]]
+            found[name] += [(bits, *details) for bits in kept[key]] if details else kept[key]
     for entries in found.values():
         entries.sort()
     return checked, found
@@ -1037,7 +1039,7 @@ def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
     v_sizes = _job_constants(p).v_sizes
     removed = [
         {"type": "removed-layer-empty", "family": _family_json(bits, n)}
-        for bits, in found["removed-layer-empty"][:_VIOLATION_CAP]
+        for bits in found["removed-layer-empty"][:_VIOLATION_CAP]
     ]
     dominance = [
         {
@@ -1056,7 +1058,7 @@ def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
     ]
     shadow = shadow_orbit(p)
     candidates = found[RIGIDITY_CANDIDATE]
-    for bits, in candidates:
+    for bits in candidates:
         if valuable_part(SetFamily(n=n, bits=bits), p).bits not in shadow:
             rigid.append({"type": "valuable-part-not-isomorphic", "family": _family_json(bits, n)})
     notices = []
@@ -1130,9 +1132,9 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
     tallies = [_tally(job, hist, kept, layout) for job in jobs]
     # every distinct orbit is closed once per pass: the achiever orbits
     # across the theorem cells, and the shadow's valuable part per window.
-    # The achievers leave their tallies, so that their (bits,) entries are
-    # freed before the orbits are claimed: (7,6,inf) has 1.42M of them.
-    classes = iter(_achiever_classes(n, [[bits for bits, in found.pop(ACHIEVER, ())]
+    # The achievers leave their tallies, so that their lists are freed
+    # once the orbits are claimed: (7,6,inf) has 1.42M of them.
+    classes = iter(_achiever_classes(n, [found.pop(ACHIEVER, [])
                                          for (kind, _), (_, found) in zip(jobs, tallies)
                                          if kind == THEOREM]))
     shadow_orbits: dict[int, set[int]] = {}

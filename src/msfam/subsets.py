@@ -303,15 +303,9 @@ def twist(star: SetFamily, d: SetFamily) -> SetFamily:
     return SetFamily(n=star.n, bits=(star.bits & ~d.bits) | dual(d).bits)
 
 
-@lru_cache(maxsize=None)
-def _vectors(n: int) -> tuple[tuple[int, ...], ...]:
-    """_vectors(n)[x] is the 0/1 vector of subset mask x, position e for element e+1."""
-    return tuple(tuple((x >> e) & 1 for e in range(n)) for x in range(1 << n))
-
-
 def _member_vectors(fam: SetFamily) -> list[tuple[int, ...]]:
-    vectors = _vectors(fam.n)
-    return [vectors[x] for x in fam.members()]
+    """The 0/1 vector of each member, position e for element e+1."""
+    return [tuple((x >> e) & 1 for e in range(fam.n)) for x in fam.members()]
 
 
 def _permute_mask(x: int, perm: Sequence[int], n: int) -> int:
@@ -390,17 +384,19 @@ def canonical_set_family(fam: SetFamily) -> tuple[tuple[int, ...], ...]:
 
     The encoding is that of canonical.canonical_vectors on the member vectors:
     the least sorted member list over the relabelings that send each colour
-    class onto its position block.  Those images are the orbit of one of them
-    under the symmetric groups of the blocks, closed here on the family
+    class onto its position block.  Those images are the orbit of one of
+    them under the symmetric groups of the blocks, closed here on the family
     bitset by _swap_closure's coset chain, one run per block.  Position p is
     written as bit n-1-p, so that the vector order of members is the integer
     order of their masks; then of two families of equal size the one with
     the smaller sorted member list holds the lowest bit of their XOR.  The
     block relabelling and the final bit reversal are adjacent delta swaps
-    on the family bitset too (_relabel).
+    on the family bitset too (_relabel).  The colours are taken from the
+    member masks as they are, the single value plane of
+    canonical._element_colors.
     """
     n = fam.n
-    classes = canonical._color_classes(canonical._element_colors(_member_vectors(fam), n))
+    classes = canonical._color_classes(canonical._element_colors([list(fam.members())], n))
     image = [0] * n  # the block order of positions, position p as bit n-1-p
     runs = []
     bit = n

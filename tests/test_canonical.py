@@ -1,6 +1,8 @@
 """Canonical forms: equality exactly on isomorphism classes, witnesses valid."""
 
+import re
 from functools import lru_cache
+from hashlib import blake2b
 from itertools import permutations
 
 import pytest
@@ -10,7 +12,7 @@ from msfam import (
     Params, SetFamily, UNBOUNDED, canonical_set_family, enumerate_maximal_families,
     set_families_isomorphic, uniqueness_condition,
 )
-from msfam import search
+from msfam import canonical, search
 from msfam.canonical import canonical_vectors, find_isomorphism
 from msfam.subsets import _member_vectors
 
@@ -93,7 +95,7 @@ def test_bitset_encoding_equals_vector_path_on_n7_achievers():
     for job in jobs:
         found = search._tally(job, hist, kept, layout)[1]
         assert found[search.ACHIEVER], job
-        achievers.update(bits for bits, in found[search.ACHIEVER])
+        achievers.update(found[search.ACHIEVER])
     for bits in sorted(achievers):
         fam = SetFamily(n=7, bits=bits)
         assert canonical_set_family(fam) == _vector_encoding(fam), fam.member_sets()
@@ -131,3 +133,114 @@ def test_bitset_encoding_of_relabelled_maximal_families(data):
     perm = data.draw(st.permutations(list(range(n))))
     image = SetFamily.from_masks(n, (_permute_mask(x, perm, n) for x in fam.members()))
     assert canonical_set_family(image) == _vector_encoding(image) == canonical_set_family(fam)
+
+
+# The colouring as it was written over member vectors, sorting and repr-ing
+# tuples of pairs; canonical._element_colors must give the same digests.
+
+def _digest(value) -> int:
+    return int.from_bytes(blake2b(repr(value).encode(), digest_size=8).digest(), "big")
+
+
+def _reference_element_colors(items, n):
+    """Iso-invariant color per position, refined a fixed number of rounds.
+
+    Many positions and members share a signature, so each distinct value is
+    digested once per call.
+    """
+    memo: dict = {}
+
+    def digest(value) -> int:
+        d = memo.get(value)
+        if d is None:
+            d = memo[value] = _digest(value)
+        return d
+
+    sizes = [sum(it) for it in items]
+    colors = [
+        digest(tuple(sorted((sizes[j], it[e]) for j, it in enumerate(items))))
+        for e in range(n)
+    ]
+    for _ in range(canonical._REFINE_ROUNDS):
+        item_colors = [
+            digest(tuple(sorted((it[e], colors[e]) for e in range(n))))
+            for it in items
+        ]
+        colors = [
+            digest((colors[e], tuple(sorted((it[e], item_colors[j]) for j, it in enumerate(items)))))
+            for e in range(n)
+        ]
+    return colors
+
+
+def _colors_match(fam):
+    return (canonical._element_colors([list(fam.members())], fam.n)
+            == _reference_element_colors(_member_vectors(fam), fam.n))
+
+
+def _vector_colors_match(items, n):
+    return (canonical._element_colors(canonical._planes(items), n)
+            == _reference_element_colors(items, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_colors_equal_the_reference_on_drawn_set_families(data):
+    n = data.draw(st.integers(1, 7))
+    masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=2 * n + 4))
+    assert _colors_match(SetFamily.from_masks(n, masks, require_proper=False))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_colors_equal_the_reference_on_empty_and_one_member_families(n):
+    assert _colors_match(SetFamily(n=n, bits=0))
+    for x in range(1 << n):
+        assert _colors_match(SetFamily(n=n, bits=1 << x)), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_colors_equal_the_reference_on_drawn_vectors(data):
+    n = data.draw(st.integers(1, 6))
+    items = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=8))
+    assert _vector_colors_match(items, n)
+
+
+def test_colors_equal_the_reference_on_all_zero_vectors():
+    assert _vector_colors_match([], 3)
+    assert _vector_colors_match([(0, 0, 0)], 3)
+    assert _vector_colors_match([(0, 0), (0, 2)], 2)
+
+
+def _control_families():
+    """Families the negative controls run on: the empty and the one-member
+    families at n = 1..3 and the maximal families at n = 2..5."""
+    for n in range(1, 4):
+        yield SetFamily(n=n, bits=0)
+        for x in range(1 << n):
+            yield SetFamily(n=n, bits=1 << x)
+    for n in range(2, 6):
+        yield from enumerate_maximal_families(n)
+
+
+def _colour_first(tuple_repr):
+    # writes each (value, colour) pair as (colour, value); a colour is a
+    # 64-bit digest, and no value or member size comes near 2^32
+    def swapped(pieces, counts, total):
+        return tuple_repr([re.sub(r"^\((\d+), (\d{10,})\)", r"(\2, \1)", piece)
+                           for piece in pieces], counts, total)
+    return swapped
+
+
+def _no_trailing_comma(tuple_repr):
+    def dropped(pieces, counts, total):
+        text = tuple_repr(pieces, counts, total)
+        return text[:-2] + ")" if total == 1 else text
+    return dropped
+
+
+@pytest.mark.parametrize("mutant", [_colour_first, _no_trailing_comma])
+def test_colors_reference_check_rejects_a_wrong_repr(monkeypatch, mutant):
+    assert all(_colors_match(fam) for fam in _control_families())
+    monkeypatch.setattr(canonical, "_tuple_repr", mutant(canonical._tuple_repr))
+    assert not all(_colors_match(fam) for fam in _control_families())

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from msfam import (
     MultisetFamily, Params, ParameterError, UNBOUNDED, UNIVERSAL, apply_permutation,
-    cardinality, count_k_multisets, enumerate_k_multisets, families_isomorphic,
+    canonical_form, cardinality, count_k_multisets, enumerate_k_multisets, families_isomorphic,
     intersect, is_intersecting_mf, is_maximal_intersecting_mf, is_trivial,
     permute_family, support, total_intersection,
 )
@@ -185,6 +185,31 @@ def test_families_isomorphic_matches_brute_force(data):
     assert ok == brute_isomorphic(fam_a.members, fam_b.members, n)
     if ok:
         assert permute_family(sigma, fam_a).members == fam_b.members
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_canonical_form_and_isomorphism_match_brute_force(data):
+    # multiplicities 0..3; half the time the second family is a relabelling
+    # of the first, so that isomorphic pairs are drawn often
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 3))
+    p = Params(n, k, 3)
+    universe = list(enumerate_k_multisets(p))
+    fam_a = MultisetFamily.from_iterable(
+        p, data.draw(st.lists(st.sampled_from(universe), max_size=6)))
+    if data.draw(st.booleans()):
+        sigma = tuple(e + 1 for e in data.draw(st.permutations(range(n))))
+        fam_b = permute_family(sigma, fam_a)
+    else:
+        fam_b = MultisetFamily.from_iterable(
+            p, data.draw(st.lists(st.sampled_from(universe), max_size=6)))
+    expected = brute_isomorphic(fam_a.members, fam_b.members, n)
+    assert (canonical_form(fam_a) == canonical_form(fam_b)) == expected
+    ok, witness = families_isomorphic(fam_a, fam_b)
+    assert ok == expected
+    if ok:
+        assert permute_family(witness, fam_a).members == fam_b.members
 
 
 @settings(max_examples=60, deadline=None)

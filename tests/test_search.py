@@ -184,8 +184,8 @@ def test_orbit_encoding_cache_is_exact_every_n6_cell(monkeypatch):
     jobs = [(search.THEOREM, p) for p in _admissible_cells(6)]
     hist, kept, _ = search._run_pass(6, jobs, 1)
     layout = search._key_layout(jobs)
-    cells = [[bits for bits, in search._tally(job, hist, kept, layout)[1][search.ACHIEVER]]
-             for job in jobs]
+    cells = [search._tally(job, hist, kept, layout)[1][search.ACHIEVER] for job in jobs]
+    assert all(type(bits) is int for cell in cells for bits in cell)
     cold = []
     for achievers in cells:
         search._orbit_encoding.cache_clear()
@@ -249,8 +249,8 @@ def test_broken_orbit_in_the_second_cell_sharing_it_raises(monkeypatch, victim_o
     def tally(job, *args):
         checked, found = original(job, *args)
         if job == (search.THEOREM, second):
-            victim = victim_of(found[search.ACHIEVER])
-            found[search.ACHIEVER].remove(victim)
+            # the achievers are plain family bitsets
+            found[search.ACHIEVER].remove(victim_of(found[search.ACHIEVER]))
         return checked, found
 
     assert run_verification(6, [first, second]).theorem_reports[1].achiever_class_sizes == (30,)
@@ -443,15 +443,20 @@ def test_worker_determinism_small():
     assert blob(1) == blob(2) == blob(3) == blob(4)
 
 
-def _every_cell_blob(n, workers):
-    """The theorem and lemma reports of every admissible cell at n, concatenated."""
-    cells = _admissible_cells(n)
-    res = run_verification(n, theorem_params=cells, lemma_params=cells,
-                           workers=workers, check=False)
+def _reports_blob(n, theorem_cells, lemma_cells, workers, check=True):
+    """The theorem reports and then the lemma reports of one pass, concatenated."""
+    res = run_verification(n, theorem_params=theorem_cells, lemma_params=lemma_cells,
+                           workers=workers, check=check)
     parts = [to_canonical_json(r) for r in res.theorem_reports]
     parts.extend(to_canonical_json(bundle[name])
                  for bundle in res.lemma_bundles for name in LEMMA_CHECKS)
     return "".join(parts)
+
+
+def _every_cell_blob(n, workers):
+    """The theorem and lemma reports of every admissible cell at n, concatenated."""
+    cells = _admissible_cells(n)
+    return _reports_blob(n, cells, cells, workers, check=False)
 
 
 def test_worker_determinism_every_n6_cell():
@@ -468,6 +473,21 @@ def test_every_cell_report_bytes_pinned(n, digest):
     the vector-path encodings."""
     for workers in (1, 2, 3, 4):
         assert hashlib.sha256(_every_cell_blob(n, workers).encode()).hexdigest() == digest, workers
+
+
+# the six-job n=7 pass of the benchmark
+N7_THEOREM_CELLS = (Params(7, 4, 2), Params(7, 4, 3), Params(7, 4, UNBOUNDED),
+                    Params(7, 5, 3), Params(7, 5, UNBOUNDED))
+N7_LEMMA_CELLS = (Params(7, 4, 2),)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_n7_job_set_report_bytes_pinned(workers):
+    """The six-job n=7 reports hash to a pinned digest at one and two
+    workers, so a change of encoding or class order at n=7 fails here."""
+    blob = _reports_blob(7, N7_THEOREM_CELLS, N7_LEMMA_CELLS, workers)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "5d2edd6a7193329919ec9f3bf63e41c2fce107b9fd48eb1747222dece21645cc")
 
 
 @pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
