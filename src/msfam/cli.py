@@ -183,13 +183,12 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    def families():
-        return search.enumerate_maximal_families(
-            args.n, up_to_iso=args.up_to_iso, cap_override=args.cap_override,
-        )
-
+    # the call meets the --n guard, before anything is written
+    families = search.enumerate_maximal_families(
+        args.n, up_to_iso=args.up_to_iso, cap_override=args.cap_override,
+    )
     if args.format == "json":
-        listed = list(families())
+        listed = list(families)
         payload = {
             "kind": "maximal-families",
             "tool_version": TOOL_VERSION,
@@ -200,15 +199,14 @@ def _cmd_enumerate(args) -> int:
         }
         _emit(to_canonical_json(payload), args.out)
         return 0
-    # the header needs the count up front; counting meets the --n guard before
-    # anything is written, and costs a fraction of the walk
+    # the header needs the count up front; counting costs a fraction of the walk
     count_of = search.count_iso_classes if args.up_to_iso else search.count_maximal_families
     count = count_of(args.n, cap_override=args.cap_override)
     members_text = _members_text(args.n)
     with _open_out(args.out) as fh:
         fh.write(f"{args.n}\n# {count} maximal intersecting families"
                  f"{' (one per isomorphism class)' if args.up_to_iso else ''}\n")
-        for i, fam in enumerate(families()):
+        for i, fam in enumerate(families):
             fh.write(f"# family {i}\n{members_text(fam.bits)}\n")
     return 0
 

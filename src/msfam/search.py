@@ -5,12 +5,18 @@ A maximal intersecting family of proper non-empty subsets of [n] contains
 exactly one side of every complementary pair and is closed upward; conversely
 any family with those two properties is maximal intersecting.  The enumerator
 therefore walks a binary decision tree over complementary pairs, with the
-state a pair (in, out) of family bitsets.  Taking x in forces exactly x and
-its supersets in and the complement of x and its subsets out; taking x out
-is the same with the roles of x and its complement swapped.  These closures
-are precomputed, so a decision is two ORs and a branch is consistent iff in
-and out are disjoint; there is no trail and nothing to undo.  Every leaf is
-a maximal family and every maximal family appears exactly once.
+state the family bitset U of the subsets still undecided.  Taking x in
+forces exactly x and its supersets in and the complement of x and its
+subsets out; taking x out is the same with the roles of x and its complement
+swapped.  These closures are precomputed, so a decision is two ANDs: the
+members it takes in are its in-closure's part of U, and the child's U is U
+less both closures.  No branch of the subset tree conflicts, since the
+members taken in form an up-set and those left out a down-set, so an
+undecided subset can still go either way; there is no trail and nothing to
+undo.  Every leaf, U = 0, is a maximal family and every maximal family
+appears exactly once.  _leaves walks the completions of one U depth first;
+enumeration streams the root's, in decision order, and the collection below
+takes those of small U from it.
 
 Verification jobs ride along on a single enumeration pass.  The bound and
 the lemmas see a family only through its key: its layer counts and, per size
@@ -22,17 +28,16 @@ pass counts the keys, and keeps the family bitset only under a key that some
 job marks as interesting (an achiever, a violation or a rigidity candidate),
 decided the first time the key is seen.  The jobs then run once per distinct
 key: the six-job n=7 pass of the benchmark has 91 keys among its 1.42M
-families.  No branch of the subset tree conflicts, so a node's completions
-depend only on its set U of undecided subsets, and the key of a family adds
-up over its members.  The pass therefore counts top-down over U rather than
-over the tree: each U pushes its node keys, with the number of paths to
-each, into its children, down to U = 0.  How many U it meets depends only on
-the order in which the pairs are decided, so the walk takes its own order,
-the one the frontier-based search of Kawahara et al. uses: each next pair
-is the one that leaves the fewest undecided pairs bordering the decided
-ones.  For that n=7 pass it is about 12k U and 26k (U, key) states (34k U in
-decision order, which takes the singletons first), where the tree has 1.42M
-leaves.  The families under interesting keys are then collected by a descent
+families.  A node's completions depend only on its U, and the key of a
+family adds up over its members.  The pass therefore counts top-down over U
+rather than over the tree: each U pushes its node keys, with the number of
+paths to each, into its children, down to U = 0.  How many U it meets
+depends only on the order in which the pairs are decided, so the walk takes
+its own order, the one the frontier-based search of Kawahara et al. uses:
+each next pair is the one that leaves the fewest undecided pairs bordering
+the decided ones.  For that n=7 pass it is about 12k U and 26k (U, key)
+states (34k U in decision order, which takes the singletons first), where
+the tree has 1.42M leaves.  The families under interesting keys are then collected by a descent
 that enters only the states from which such a key is still reachable, and
 takes the last _MEMO_PAIRS pairs from a memo over U.  It takes the pairs in
 decision order, singletons first: its reach test compares layer counts, and
@@ -132,6 +137,8 @@ LEMMA_CHECKS = (CHECK_REMOVED_LAYER, CHECK_LAYER_DOMINANCE, CHECK_VALUABLE_RIGID
 
 
 def _check_cap(n: int, cap_override: bool) -> None:
+    if not isinstance(n, int):
+        raise ParameterError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ParameterError("enumeration needs n >= 2")
     if n > DEFAULT_ENUMERATION_CAP and not cap_override:
@@ -155,8 +162,9 @@ def _tables(n: int) -> _Tables:
     up[x] is the family bitset of x and its proper supersets short of [n],
     down[x] that of x and its non-empty subsets.  Both are transitively
     closed: a member forces exactly up[x] in, a non-member exactly down[x] out.
-    decision_steps is decisions as _KeyWalk collects them (see
-    _decision_steps), steps the same in the frontier order it counts them in.
+    decision_steps is decisions as _KeyWalk collects them and enumeration
+    walks them (see _decision_steps), steps the same in the frontier order
+    _KeyWalk counts them in.
     """
     full = (1 << n) - 1
     singles = [1 << e for e in range(n)]
@@ -344,9 +352,9 @@ class _KeyWalk:
     reachable from it: each additive field grows by at most the members of
     U that feed it, and cover bits are only added.  That verdict is
     memoised per (U, key) for the call.  Once at most _MEMO_PAIRS pairs are
-    undecided, the descent takes the completions of U, with their keys, from
-    a memo over U, together with the exact verdict per (key, U): whether a
-    completion gives a kept key.
+    undecided, the descent takes the completions of U (_leaves), with their
+    keys, from a memo over U, together with the exact verdict per (key, U):
+    whether a completion gives a kept key.
     """
 
     def __init__(self, n: int, codec: _KeyCodec | None = None,
@@ -389,19 +397,6 @@ class _KeyWalk:
     def _join(self, key: int, part: int) -> int:  # a node's key and one of its completions'
         low = self.low
         return ((key | part) & ~low) | ((key + part) & low)
-
-    def _completions(self, idx: int, undecided: int) -> list[tuple[int, int]]:
-        """The completions T of an undecided set, each with its key, in collection order."""
-        if not undecided:
-            return [(0, 0)]
-        steps, plus = self.collect_steps, self._plus
-        while not steps[idx][0] & undecided:
-            idx += 1
-        out = []
-        for add_in, rest in steps[idx][1]:
-            new = add_in & undecided
-            out += [(new | t, plus(part, new)) for t, part in self._completions(idx + 1, undecided & rest)]
-        return out
 
     def histogram(self, starts: list | None = None) -> tuple[Counter, dict[int, list[int]]]:
         """The key histogram of the leaves below starts, the root by default,
@@ -480,7 +475,9 @@ class _KeyWalk:
             if u.bit_count() <= limit:
                 entry = memo.get(u)
                 if entry is None:
-                    entry = memo[u] = (self._completions(idx, u), {})
+                    # a completion's key is its members' key taken at once:
+                    # fields add and cover masks OR, so _delta is additive
+                    entry = memo[u] = ([(t, plus(0, t)) for t in _leaves(steps, idx, u)], {})
                 completions, walks = entry
                 walk = walks.get(key)
                 if walk is None:
@@ -514,41 +511,30 @@ class _KeyWalk:
         return kept
 
 
-def _dfs(decisions) -> Iterator[int]:
-    """Yield every completion of a pair system, depth first.
+def _leaves(steps: tuple, idx: int, undecided: int) -> Iterator[int]:
+    """Yield every completion T of an undecided set, depth first.
 
-    The state is the pair (in, out) of family bitsets of the items decided
-    in and out.  decisions lists one (bit, outcomes) per complementary pair
-    in decision order: the pair is decided once bit lies in in | out, and
-    outcomes holds the closures (in, out) that taking bit's side in, or
-    out, adds.  A state is consistent iff in & out is empty, and a leaf's
-    family is its in.  In the subset system every branch is consistent (in
-    is an up-set and out a down-set, so an undecided pair can go either
-    way); conflicts arise in the orbit systems, whose orbits can hold two
-    disjoint subsets.  Outcomes are taken in their listed order, the first
-    outcome's subtree before the second's, so the order of the leaves is
-    fixed by decisions alone; the stack holds at most one state per
-    decision level, and no leaf is held once yielded.
-
-    Counting goes through _KeyWalk instead; this leaf-by-leaf walk serves
-    enumerate_maximal_families, which yields every family, and the tests,
-    which use it as the oracle for the walk.
+    steps is a pair system in the form of _decision_steps, and the walk
+    starts at its step idx: no step before it may have its bit in
+    undecided.  Each state is (step index, U, the members taken
+    in so far); a leaf, U = 0, yields them.  Outcomes are taken in their
+    listed order, the first outcome's subtree before the second's, so the
+    order of the leaves is fixed by steps alone: from the subset system's
+    decision_steps and the whole proper set, it is the order
+    enumerate_maximal_families yields.  The stack holds at most one
+    state per step, and no leaf is held once yielded.
     """
-    count = len(decisions)
-    stack = [(0, 0, 0)]
+    stack = [(idx, undecided, 0)]
     while stack:
-        idx, fin, fout = stack.pop()
-        decided = fin | fout
-        while idx < count and decisions[idx][0] & decided:
-            idx += 1
-        if idx == count:
-            yield fin
+        idx, u, fam = stack.pop()
+        if not u:
+            yield fam
             continue
+        while not steps[idx][0] & u:
+            idx += 1
         # pushed last outcome first, so that the first is walked first
-        for add_in, add_out in reversed(decisions[idx][1]):
-            child_in, child_out = fin | add_in, fout | add_out
-            if not child_in & child_out:
-                stack.append((idx + 1, child_in, child_out))
+        for add_in, rest in reversed(steps[idx][1]):
+            stack.append((idx + 1, u & rest, fam | add_in & u))
 
 
 # ---------------------------------------------------------------------------
@@ -683,15 +669,22 @@ def _orbit(n: int, bits: int) -> set[int]:
 
 def enumerate_maximal_families(n: int, up_to_iso: bool = False,
                                cap_override: bool = False) -> Iterator[SetFamily]:
-    """Yield every maximal intersecting family on [n] exactly once.
+    """An iterator over every maximal intersecting family on [n], each once.
 
-    With up_to_iso, yield the first-enumerated representative of each
+    With up_to_iso, it yields the first-enumerated representative of each
     isomorphism class instead.  Enumeration order is the depth-first order
-    of the pair search in decision order and is stable across runs.  Each
-    family is yielded as the walk reaches it; the walk keeps none.
+    of the pair search in decision order (see _leaves) and is stable across
+    runs.  Each family is yielded as the walk reaches it; the walk keeps
+    none.  n and the guard are checked at the call, before any family is
+    asked for.
     """
     _check_cap(n, cap_override)
-    leaves = _dfs(_tables(n).decisions)
+    t = _tables(n)
+    return _stream(n, _leaves(t.decision_steps, 0, (1 << t.full) - 2), up_to_iso)
+
+
+def _stream(n: int, leaves: Iterator[int], up_to_iso: bool) -> Iterator[SetFamily]:
+    """The families of leaves, or with up_to_iso the first met of each orbit."""
     if not up_to_iso:
         for bits in leaves:
             yield SetFamily(n=n, bits=bits)

@@ -95,7 +95,7 @@ def test_orbit_systems_yield_exactly_the_fixed_families(n):
         image = [search._permute_mask(x, perm, n) for x in range(1 << n)]
         fixed = sorted(bits for bits in families if _fixes(bits, image))
         system = search._orbit_system(n, perm)
-        leaves = [] if system is None else list(search._dfs(system))
+        leaves = [] if system is None else _rejected_outcomes(system)[0]
         assert sorted(leaves) == fixed, perm
 
 
@@ -106,10 +106,6 @@ def test_up_to_iso_matches_class_count(n):
     # representatives are pairwise non-isomorphic
     encodings = {canonical_set_family(f) for f in reps}
     assert len(encodings) == len(reps)
-
-
-def _one_dfs(n):
-    return list(search._dfs(search._tables(n).decisions))
 
 
 @pytest.mark.parametrize("up_to_iso, count, digest", [
@@ -125,9 +121,58 @@ def test_enumeration_order_is_pinned_n6(up_to_iso, count, digest):
     assert (yielded, h.hexdigest()) == (count, digest)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("up_to_iso, count, digest", [
+    (False, 1422564, "ff23345fccee1e66aab6bbc21cdb931daae919b26c396babab06b05351ad811b"),
+    (True, 716, "26d6a46d81d65255c7a39cfd1a2f7f2d4e321c395d066fcef5d3c7ee996ba566"),
+])
+def test_enumeration_order_is_pinned_n7(up_to_iso, count, digest):
+    """The whole n=7 stream, each family's bits as 16 bytes big-endian
+    (2-core Xeon, Python 3.11: about 1.5 s each)."""
+    h = hashlib.sha256()
+    yielded = 0
+    for fam in enumerate_maximal_families(7, up_to_iso=up_to_iso):
+        h.update(fam.bits.to_bytes(16, "big"))
+        yielded += 1
+    assert (yielded, h.hexdigest()) == (count, digest)
+
+
+def test_leaves_stream_in_the_oracles_order():
+    """_leaves over the subset system and every orbit system for n = 2..6,
+    from the whole proper set in decision order: the (in, out) oracle's
+    leaves, in its order and not just as a set."""
+    systems = 0
+    for n in range(2, 7):
+        proper = (1 << ((1 << n) - 1)) - 2
+        candidates = [search._tables(n).decisions]
+        candidates += [search._orbit_system(n, perm) for perm, _ in search._nonidentity_types(n)]
+        for system in candidates:
+            if system is None:
+                continue
+            leaves = list(search._leaves(search._decision_steps(n, system), 0, proper))
+            assert leaves == _rejected_outcomes(system)[0], (n, system[:1])
+            systems += 1
+    assert systems == 22
+
+
+@pytest.mark.parametrize("n, error", [(9, SearchCapError), (1, ParameterError)])
+def test_enumeration_guard_raises_at_the_call(n, error):
+    """Before any family is asked for: the iterator is never advanced."""
+    with pytest.raises(error):
+        enumerate_maximal_families(n)
+
+
+@pytest.mark.parametrize("n", [5.0, "5"])
+def test_non_integer_n_rejected(n):
+    for call in (count_maximal_families, count_iso_classes, run_verification,
+                 enumerate_maximal_families):
+        with pytest.raises(ParameterError, match="integer"):
+            call(n)
+
+
 def test_up_to_iso_yields_first_member_of_each_class_n6():
     seen, expected = set(), []
-    for bits in _one_dfs(6):
+    for bits in _rejected_outcomes(search._tables(6).decisions)[0]:
         enc = canonical_set_family(SetFamily(n=6, bits=bits))
         if enc not in seen:
             seen.add(enc)
@@ -796,11 +841,11 @@ def _all_keys_codec(n):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_start_states_partition_the_tree(n):
     """Each start state walked on its own, with every key kept: the kept
-    families are disjoint, together they are the leaves of _dfs, and the
+    families are disjoint, together they are the oracle's leaves, and the
     histograms add up to the root's."""
     walk = search._KeyWalk(n, _all_keys_codec(n), lambda key: True)
     root_hist, root_kept = walk.histogram()
-    leaves = sorted(search._dfs(search._tables(n).decisions))
+    leaves = sorted(_rejected_outcomes(search._tables(n).decisions)[0])
     assert sorted(fam for fams in root_kept.values() for fam in fams) == leaves
     sizes = []
     for parts in (2, 4, 8):
@@ -934,7 +979,7 @@ def test_orbit_walk_equals_leaf_by_leaf_count(n):
     flags = _flags_by_definition(n, windows)
     for perm, size in search._nonidentity_types(n):
         system = search._orbit_system(n, perm)
-        tally = Counter() if system is None else Counter(map(flags, search._dfs(system)))
+        tally = Counter() if system is None else Counter(map(flags, _rejected_outcomes(system)[0]))
         expected = [size * sum(tally.values())]
         expected += [size * sum(c for f, c in tally.items() if f[i]) for i in range(len(windows))]
         assert search._cycle_type_totals(n, windows, perm, size) == expected, perm
@@ -942,13 +987,21 @@ def test_orbit_walk_equals_leaf_by_leaf_count(n):
 
 
 def _rejected_outcomes(decisions):
-    """Walk a pair system as _dfs does, and list the outcome (in, out) of each rejected branch."""
-    rejected = []
+    """The oracle for the walk over undecided sets: a pair system walked in
+    the state (in, out) of the family bitsets decided in and out, which
+    checks every branch for a conflict (in & out non-empty).  decisions
+    lists one (bit, outcomes) per complementary pair: the pair is decided
+    once bit lies in in | out, and each outcome is the closures (in, out)
+    it adds.  Returns the leaves' families (their in), depth first with
+    the first outcome's subtree before the second's, and the outcome of
+    each rejected branch."""
+    leaves, rejected = [], []
 
     def rec(idx, fin, fout):
         while idx < len(decisions) and decisions[idx][0] & (fin | fout):
             idx += 1
         if idx == len(decisions):
+            leaves.append(fin)
             return
         for add_in, add_out in decisions[idx][1]:
             if (fin | add_in) & (fout | add_out):
@@ -957,7 +1010,7 @@ def _rejected_outcomes(decisions):
                 rec(idx + 1, fin | add_in, fout | add_out)
 
     rec(0, 0, 0)
-    return rejected
+    return leaves, rejected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -970,13 +1023,11 @@ def test_orbit_systems_conflict_only_inside_one_outcome(n):
         system = search._orbit_system(n, perm)
         if system is None:
             continue
-        rejected = _rejected_outcomes(system)
+        leaves, rejected = _rejected_outcomes(system)
         assert all(add_in & add_out for add_in, add_out in rejected), perm
         conflicts += len(rejected)
-        # so the walk, which never looks at the state, completes to _dfs's leaves
-        leaves = list(search._dfs(system))
-        walk = search._KeyWalk(n, steps=search._walk_steps(n, system))
-        assert sorted(t for t, _ in walk._completions(0, proper)) == sorted(leaves), perm
+        # so the walk, which never looks at the state, completes to the oracle's leaves
+        assert sorted(search._leaves(search._walk_steps(n, system), 0, proper)) == sorted(leaves), perm
     assert conflicts or n < 4
 
 
