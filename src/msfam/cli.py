@@ -29,7 +29,7 @@ from .reporting import (
     to_canonical_json,
 )
 from .subsets import (
-    build_hm_shadow, build_removed_part, build_star, elements_from_mask, hm_shadow_valuable,
+    build_hm_shadow, build_removed_part, build_star, hm_shadow_valuable, ranked_subsets,
 )
 
 _SET_TARGETS = ("star", "removed-part", "shadow", "shadow-valuable")
@@ -195,7 +195,7 @@ def _cmd_enumerate(args) -> int:
             "n": args.n,
             "up_to_iso": bool(args.up_to_iso),
             "count": len(listed),
-            "families": [[list(m) for m in fam.member_sets()] for fam in listed],
+            "families": [fam.member_sets() for fam in listed],
         }
         _emit(to_canonical_json(payload), args.out)
         return 0
@@ -214,14 +214,15 @@ def _cmd_enumerate(args) -> int:
 def _members_text(n: int) -> Callable[[int], str]:
     """A family's members as text lines in (size, elements) order, from its bits.
 
-    The proper subsets of [n] are ranked in that order.  A family bitset maps
-    to its rank bitset a byte at a time, and each byte of the rank bitset
-    picks a run of ready-made lines, so no family is sorted or formatted.
+    The proper subsets of [n] are ranked in that order by ranked_subsets.  A
+    family bitset maps to its rank bitset a byte at a time, and each byte of
+    the rank bitset picks a run of ready-made lines, so no family is sorted
+    or formatted.
     """
     full = (1 << n) - 1
-    ranked = sorted(range(1, full), key=lambda x: (x.bit_count(), elements_from_mask(x)))
-    rank = {x: r for r, x in enumerate(ranked)}
-    lines = [" ".join(map(str, elements_from_mask(x))) + "\n" for x in ranked]
+    ranked = ranked_subsets(n)[1:-1]  # the empty set comes first and [n] last
+    rank = {x: r for r, (x, _) in enumerate(ranked)}
+    lines = [" ".join(map(str, elements)) + "\n" for _, elements in ranked]
     in_bytes, out_bytes = (full + 8) // 8, (len(ranked) + 7) // 8
     to_rank = [[sum(1 << rank[x] for b in range(8) if v >> b & 1 and (x := 8 * i + b) in rank)
                 for v in range(256)] for i in range(in_bytes)]

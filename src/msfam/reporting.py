@@ -5,6 +5,17 @@ fixed indentation, trailing newline) so identical configurations produce
 identical files regardless of worker count or scheduling.  Wall-clock timing
 is recorded only on request, since it would break that guarantee; the
 runtime_ms field is otherwise null.
+
+The bytes are those of json.dumps(obj, indent=2, sort_keys=True) plus a
+newline, which stays the tests' oracle.  CPython runs its C encoder only
+without indent, so to_canonical_json writes the indented layout itself:
+strings and keys through the C string encoder, ints by int.__repr__, the
+literals null, true and false, and each all-int list (a family member) as
+one join, cached by member and indent within a call.  Any other value (a
+float, a dict with non-str keys, a subclass, an unknown type) is dumped by
+json.dumps with the same settings and re-indented, so its bytes and errors
+are the stdlib's.  A JSON string holds no raw newline, so every newline of a
+dump is a line break of its layout.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .params import Params
 
@@ -105,12 +117,75 @@ class LemmaReport:
         }
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+_INT_ONLY = {int}
+
+
 def to_canonical_json(obj) -> str:
     if hasattr(obj, "to_json_dict"):
         obj = obj.to_json_dict()
     elif isinstance(obj, (list, tuple)):
         obj = [o.to_json_dict() if hasattr(o, "to_json_dict") else o for o in obj]
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    parts: list[str] = []
+    members: dict[tuple, str] = {}
+    open_containers: set[int] = set()  # ids on the current path, as json's circular check
+
+    def write(value, indent: str) -> None:
+        """Append value's JSON to parts, its lines after the first indented by indent."""
+        kind = type(value)
+        if kind is list or kind is tuple:
+            if not value:
+                parts.append("[]")
+            elif set(map(type, value)) == _INT_ONLY:
+                key = (tuple(value), indent)
+                text = members.get(key)
+                if text is None:
+                    inner = "\n" + indent + "  "
+                    text = members[key] = (
+                        "[" + inner + ("," + inner).join(map(int.__repr__, value)) + "\n" + indent + "]")
+                parts.append(text)
+            else:
+                enter(value)
+                inner = indent + "  "
+                separator = "[\n" + inner
+                for item in value:
+                    parts.append(separator)
+                    write(item, inner)
+                    separator = ",\n" + inner
+                parts.append("\n" + indent + "]")
+                open_containers.remove(id(value))
+        elif kind is str:
+            parts.append(encode_basestring_ascii(value))
+        elif kind is int:
+            parts.append(int.__repr__(value))
+        elif value is None or kind is bool:
+            parts.append(_LITERALS[value])
+        elif kind is dict and all(type(key) is str for key in value):
+            if not value:
+                parts.append("{}")
+                return
+            enter(value)
+            inner = indent + "  "
+            separator = "{\n" + inner
+            for key in sorted(value):
+                parts.append(separator)
+                parts.append(encode_basestring_ascii(key))
+                parts.append(": ")
+                write(value[key], inner)
+                separator = ",\n" + inner
+            parts.append("\n" + indent + "}")
+            open_containers.remove(id(value))
+        else:
+            parts.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+
+    def enter(container) -> None:
+        if id(container) in open_containers:
+            raise ValueError("Circular reference detected")
+        open_containers.add(id(container))
+
+    write(obj, "")
+    parts.append("\n")
+    return "".join(parts)
 
 
 THEOREM_CSV_FIELDS = (

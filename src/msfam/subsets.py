@@ -28,7 +28,7 @@ from . import canonical
 from .params import Params, ParameterError
 
 __all__ = [
-    "SetFamily", "mask_from_elements", "elements_from_mask", "complement_mask",
+    "SetFamily", "mask_from_elements", "elements_from_mask", "complement_mask", "ranked_subsets",
     "dual", "uniform_part", "valuable_part", "build_star", "build_removed_part",
     "build_hm_shadow", "hm_shadow_valuable", "hm_shadow_layer_size",
     "is_intersecting_sf", "is_up_set", "pair_rule_holds",
@@ -71,6 +71,14 @@ def layer_bitsets(n: int) -> tuple[int, ...]:
     return tuple(layers)
 
 
+@lru_cache(maxsize=None)
+def ranked_subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, element tuple) of every subset of [n], the empty and full sets too, by (size, elements)."""
+    table = [(x, elements_from_mask(x)) for x in range(1 << n)]
+    table.sort(key=lambda entry: (len(entry[1]), entry[1]))
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Duplicate-free family of subsets of [n]; bit x of `bits` marks mask x as a member."""
@@ -108,9 +116,8 @@ class SetFamily:
 
     def member_sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as element tuples, sorted by (size, elements)."""
-        out = [elements_from_mask(x) for x in self.members()]
-        out.sort(key=lambda t: (len(t), t))
-        return tuple(out)
+        bits = self.bits
+        return tuple(elements for x, elements in ranked_subsets(self.n) if bits >> x & 1)
 
     def layer_count(self, l: int) -> int:
         if l < 0 or l > self.n:

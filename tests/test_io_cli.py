@@ -192,6 +192,19 @@ def test_cli_enumerate_text_bytes_pinned_n6(capsys, iso, digest):
     assert lines == [" ".join(map(str, m)) for m in first.member_sets()]
 
 
+@pytest.mark.parametrize("iso, digest, count", [
+    ((), "b5a35a873c0a4065e848ada7c04e8cd38eb2b027ba872302fd2e8a2e11be422c", 2646),
+    (("--up-to-iso",), "42b71a8dd29cfcaa2ae4b4b6f0543c6b01887709235770d7ba2fb9cb1b90b7e8", 30),
+])
+def test_cli_enumerate_json_bytes_pinned_n6(capsys, iso, digest, count):
+    code, out, _ = run_cli(capsys, "enumerate-maximal", "--n", "6", "--format", "json", *iso)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    payload = json.loads(out)
+    assert (payload["count"], len(payload["families"])) == (count, count)
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_cli_workers_below_one_exit_2(capsys, monkeypatch, workers):
     def refuse(*args):

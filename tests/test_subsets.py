@@ -272,3 +272,15 @@ def test_relabel_by_delta_swaps_equals_per_member_permutation(n):
         bits = rng.getrandbits(1 << n)
         members = [x for x in range(1 << n) if bits >> x & 1]
         assert _relabel(bits, perm, n) == sum(1 << _permute_mask(x, perm, n) for x in members)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_member_sets_from_the_ranked_table_equal_the_sorted_definition(n):
+    full = (1 << n) - 1
+    rng = random.Random(9011 + n)
+    families = [SetFamily(n=n, bits=0), SetFamily.from_masks(n, [0, full], require_proper=False)]
+    families += [SetFamily(n=n, bits=rng.getrandbits(1 << n)) for _ in range(30)]
+    for f in families:
+        members = [tuple(e + 1 for e in range(n) if x >> e & 1)
+                   for x in range(1 << n) if f.bits >> x & 1]
+        assert f.member_sets() == tuple(sorted(members, key=lambda t: (len(t), t))), (n, f.bits)
