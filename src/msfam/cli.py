@@ -29,7 +29,8 @@ from .reporting import (
     to_canonical_json,
 )
 from .subsets import (
-    build_hm_shadow, build_removed_part, build_star, hm_shadow_valuable, ranked_subsets,
+    build_hm_shadow, build_removed_part, build_star, by_size_then_elements, hm_shadow_valuable,
+    mask_from_elements,
 )
 
 _SET_TARGETS = ("star", "removed-part", "shadow", "shadow-valuable")
@@ -214,15 +215,15 @@ def _cmd_enumerate(args) -> int:
 def _members_text(n: int) -> Callable[[int], str]:
     """A family's members as text lines in (size, elements) order, from its bits.
 
-    The proper subsets of [n] are ranked in that order by ranked_subsets.  A
+    The proper subsets of [n] are ranked by by_size_then_elements.  A
     family bitset maps to its rank bitset a byte at a time, and each byte of
     the rank bitset picks a run of ready-made lines, so no family is sorted
     or formatted.
     """
     full = (1 << n) - 1
-    ranked = ranked_subsets(n)[1:-1]  # the empty set comes first and [n] last
-    rank = {x: r for r, (x, _) in enumerate(ranked)}
-    lines = [" ".join(map(str, elements)) + "\n" for _, elements in ranked]
+    ranked = by_size_then_elements(range(1, full))
+    rank = {mask_from_elements(elements, n): r for r, elements in enumerate(ranked)}
+    lines = [" ".join(map(str, elements)) + "\n" for elements in ranked]
     in_bytes, out_bytes = (full + 8) // 8, (len(ranked) + 7) // 8
     to_rank = [[sum(1 << rank[x] for b in range(8) if v >> b & 1 and (x := 8 * i + b) in rank)
                 for v in range(256)] for i in range(in_bytes)]

@@ -28,7 +28,7 @@ from . import canonical
 from .params import Params, ParameterError
 
 __all__ = [
-    "SetFamily", "mask_from_elements", "elements_from_mask", "complement_mask", "ranked_subsets",
+    "SetFamily", "mask_from_elements", "elements_from_mask", "complement_mask", "by_size_then_elements",
     "dual", "uniform_part", "valuable_part", "build_star", "build_removed_part",
     "build_hm_shadow", "hm_shadow_valuable", "hm_shadow_layer_size",
     "is_intersecting_sf", "is_up_set", "pair_rule_holds",
@@ -47,6 +47,7 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=1 << 12)
 def elements_from_mask(mask: int) -> tuple[int, ...]:
     out = []
     e = 1
@@ -71,12 +72,15 @@ def layer_bitsets(n: int) -> tuple[int, ...]:
     return tuple(layers)
 
 
-@lru_cache(maxsize=None)
-def ranked_subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(mask, element tuple) of every subset of [n], the empty and full sets too, by (size, elements)."""
-    table = [(x, elements_from_mask(x)) for x in range(1 << n)]
-    table.sort(key=lambda entry: (len(entry[1]), entry[1]))
-    return tuple(table)
+def by_size_then_elements(masks: Iterable[int]) -> list[tuple[int, ...]]:
+    """The element tuples of masks, sorted by (size, elements).
+
+    Two sorts in C, no key tuple per mask: by elements, then stably by size.
+    """
+    out = list(map(elements_from_mask, masks))
+    out.sort()
+    out.sort(key=len)
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,7 @@ class SetFamily:
 
     def member_sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as element tuples, sorted by (size, elements)."""
-        bits = self.bits
-        return tuple(elements for x, elements in ranked_subsets(self.n) if bits >> x & 1)
+        return tuple(by_size_then_elements(self.members()))
 
     def layer_count(self, l: int) -> int:
         if l < 0 or l > self.n:

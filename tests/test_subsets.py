@@ -13,6 +13,8 @@ from msfam import (
     is_maximal_intersecting_sf, is_up_set, mask_from_elements, pair_rule_holds, twist,
     uniform_part, union_never_full, valuable_part,
 )
+from msfam import subsets
+from msfam.reporting import to_canonical_json
 from msfam.subsets import _permute_mask, _relabel, _swap_closure, _transpositions
 
 from conftest import brute_shadow_members
@@ -275,7 +277,7 @@ def test_relabel_by_delta_swaps_equals_per_member_permutation(n):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_member_sets_from_the_ranked_table_equal_the_sorted_definition(n):
+def test_member_sets_equal_the_sorted_definition(n):
     full = (1 << n) - 1
     rng = random.Random(9011 + n)
     families = [SetFamily(n=n, bits=0), SetFamily.from_masks(n, [0, full], require_proper=False)]
@@ -284,3 +286,19 @@ def test_member_sets_from_the_ranked_table_equal_the_sorted_definition(n):
         members = [tuple(e + 1 for e in range(n) if x >> e & 1)
                    for x in range(1 << n) if f.bits >> x & 1]
         assert f.member_sets() == tuple(sorted(members, key=lambda t: (len(t), t))), (n, f.bits)
+
+
+def test_member_sets_of_a_sparse_family_at_large_n(monkeypatch):
+    """Cost follows the members, not n: each member's elements are listed once, and
+    nothing walks the 2^n subsets (at n = 64 that would not finish)."""
+    listed = []
+    elements = subsets.elements_from_mask
+    monkeypatch.setattr(subsets, "elements_from_mask", lambda x: listed.append(x) or elements(x))
+    n = 20
+    few = SetFamily.from_masks(n, [(1 << n) - 2, 1, 0b110, 1 << (n - 1)])
+    assert few.member_sets() == ((1,), (n,), (2, 3), tuple(range(2, n + 1)))
+    assert sorted(listed) == sorted(few.members())
+    one = SetFamily.from_masks(64, [0b1011])
+    assert one.member_sets() == ((1, 2, 4),)
+    assert to_canonical_json({"members": [list(m) for m in one.member_sets()]}) == (
+        '{\n  "members": [\n    [\n      1,\n      2,\n      4\n    ]\n  ]\n}\n')
