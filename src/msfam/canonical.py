@@ -32,7 +32,7 @@ multiset families and set_families_isomorphic.
 from __future__ import annotations
 
 from functools import reduce
-from hashlib import blake2b
+from _blake2 import blake2b  # what hashlib.blake2b is, without loading OpenSSL
 from itertools import permutations
 from operator import or_
 from typing import Iterable, Sequence

@@ -13,16 +13,15 @@ Four structural facts hold and are checkable exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .params import Cap, cap_text, is_unbounded, q_of
+from .params import Cap, cap_text, frozen, is_unbounded, q_of
 
 __all__ = ["CoeffTable", "CoeffPropertyReport", "coeff", "coeff_table", "check_coeff_properties", "q_of"]
 
 
-@dataclass(frozen=True)
+@frozen
 class CoeffTable:
     """Table of coeff(k, l, m) for l = 0..k. values[l] is exact (Python int)."""
 
@@ -74,7 +73,7 @@ def coeff(k: int, l: int, m: Cap) -> int:
     return coeff_table(k, m).values[l]
 
 
-@dataclass(frozen=True)
+@frozen
 class CoeffPropertyReport:
     """Exact evaluation of the four structural facts for one (k, m, n)."""
 

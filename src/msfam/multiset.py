@@ -12,13 +12,12 @@ and is relied on for deterministic family encodings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
 from . import canonical
 from .coeffs import coeff_table
-from .params import Params, ParameterError
+from .params import Params, ParameterError, frozen
 
 Multiset = tuple[int, ...]
 Permutation = tuple[int, ...]  # sigma[i-1] is the image of element i, values 1..n
@@ -106,7 +105,7 @@ def apply_permutation(sigma: Permutation, a: Multiset) -> Multiset:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class MultisetFamily:
     """A duplicate-free collection of k-uniform multisets, kept in ascending lex order."""
 

@@ -8,7 +8,6 @@ unbounded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -46,6 +45,61 @@ UNBOUNDED = _UnboundedType()
 Cap = int | _UnboundedType
 
 
+def _refuse_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def frozen(cls):
+    """Make cls an immutable value class over its annotated fields, in order.
+
+    The class gets what ``dataclasses.dataclass(frozen=True)`` would give
+    it: ``__init__`` by position or keyword, with the class attributes as
+    defaults, followed by ``__post_init__`` when the class has one; equality
+    by class and fields; ``hash`` of the tuple of fields; the dataclass
+    repr; and AttributeError on assigning or deleting any attribute.
+    Instances pickle by their ``__dict__``, and a ``cached_property``
+    writes there directly, so both still work.
+
+    It exists to keep ``import msfam`` quick: importing dataclasses loads
+    inspect, ast, dis and tokenize, a large share of what the import once
+    cost, and decorating a class with it takes about three times as long as
+    with this.  Like dataclasses it compiles ``__init__``, ``__eq__`` and
+    ``__hash__`` once per class, so that an instance costs no more: the n=7
+    enumeration builds 1.42M SetFamily objects.
+    """
+    fields = tuple(cls.__dict__["__annotations__"])
+    defaults = {f"_default_{name}": cls.__dict__[name] for name in fields if name in cls.__dict__}
+    params = ", ".join(f"{name}=_default_{name}" if f"_default_{name}" in defaults else name
+                       for name in fields)
+    body = "".join(f"    _setattr(self, {name!r}, {name})\n" for name in fields)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    own = "".join(f"self.{name}," for name in fields)
+    other = "".join(f"other.{name}," for name in fields)
+    namespace = {"_setattr": object.__setattr__, **defaults}
+    exec(f"def __init__(self, {params}):\n{body}"
+         "def __eq__(self, other):\n"
+         "    if other.__class__ is self.__class__:\n"
+         f"        return ({own}) == ({other})\n"
+         "    return NotImplemented\n"
+         "def __hash__(self):\n"
+         f"    return hash(({own}))\n", namespace)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    for method in (namespace["__init__"], namespace["__eq__"], namespace["__hash__"], __repr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__setattr__, cls.__delattr__ = _refuse_setattr, _refuse_delattr
+    return cls
+
+
 def is_unbounded(m: Cap) -> bool:
     return isinstance(m, _UnboundedType)
 
@@ -76,7 +130,7 @@ def q_of(k: int, m: Cap) -> int:
     return -(-k // m)
 
 
-@dataclass(frozen=True)
+@frozen
 class Params:
     """The triple (n, k, m) plus derived quantities.
 

@@ -1,10 +1,10 @@
 """Report types and their canonical serializations.
 
-Reports are plain dataclasses; JSON output is byte-deterministic (sorted keys,
-fixed indentation, trailing newline) so identical configurations produce
-identical files regardless of worker count or scheduling.  Wall-clock timing
-is recorded only on request, since it would break that guarantee; the
-runtime_ms field is otherwise null.
+Reports are immutable value classes (see params.frozen); JSON output is
+byte-deterministic (sorted keys, fixed indentation, trailing newline) so
+identical configurations produce identical files regardless of worker count
+or scheduling.  Wall-clock timing is recorded only on request, since it
+would break that guarantee; the runtime_ms field is otherwise null.
 
 The bytes are those of json.dumps(obj, indent=2, sort_keys=True) plus a
 newline, which stays the tests' oracle.  CPython runs its C encoder only
@@ -20,13 +20,11 @@ dump is a line break of its layout.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .params import Params
+from .params import Params, frozen
 
 TOOL_VERSION = "0.1.0"
 
@@ -48,7 +46,7 @@ def encode_family(members: FamilyEncoding) -> list[list[int]]:
     return [list(member) for member in members]
 
 
-@dataclass(frozen=True)
+@frozen
 class TheoremReport:
     """Outcome of the bound-and-uniqueness verification for one (n, k, m)."""
 
@@ -84,7 +82,7 @@ class TheoremReport:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class LemmaReport:
     """Outcome of one structural check over all qualifying maximal families."""
 
@@ -195,6 +193,8 @@ THEOREM_CSV_FIELDS = (
 
 
 def theorem_reports_csv(reports) -> str:
+    import csv  # here, so that import msfam does not load it
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=THEOREM_CSV_FIELDS, lineterminator="\n")
     writer.writeheader()

@@ -69,10 +69,11 @@ invariant-family totals of each non-identity cycle type.  At W workers it
 is computed as W shares, one per process, each by the same function.  The
 tree is split at its top into at least W start states whose subtrees
 partition it (for W = 1, the root alone), and these are dealt to the W
-processes in contiguous blocks.  The calling process starts W - 1 workers,
+processes in contiguous blocks.  The calling process forks W - 1 workers,
 which divide the cycle types among them, computes its own share of the
 last block meanwhile, counting the cycle types only when it is alone, and
-merges into it the shares the workers send back through pipes.  A subtree
+merges into it the shares the workers send back, one pickle through one
+pipe each.  So W > 1 needs os.fork, which POSIX systems have.  A subtree
 walked on its own meets again the undecided sets it shares with the others,
 but in the frontier order the root's two subtrees share few: at n=7 they
 meet 3,658 and 9,283 U against 11,740 for the whole tree, at n=8 2.34M and
@@ -86,20 +87,22 @@ depend on the worker count.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
 import time
 from collections import Counter, defaultdict, namedtuple
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import zip_longest
 from math import comb, factorial
-from multiprocessing import get_context
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .coeffs import coeff_table
 from .families import hm_size
 from .multiset import MultisetFamily, enumerate_k_multisets, count_k_multisets, support
-from .params import Cap, InvariantError, Params, ParameterError, SearchCapError
+from .params import Cap, InvariantError, Params, ParameterError, SearchCapError, frozen
 from .reporting import LemmaReport, TheoremReport
 from .subsets import (
     SetFamily, _permute_mask, _swap_closure, _transpositions, canonical_set_family,
@@ -840,14 +843,24 @@ def _share(n: int, jobs: tuple, block: list, types: list
                                         for cycle_type in types)
 
 
-def _worker(conn, *share) -> None:
-    """A worker of _run_pass: send (True, its _share) or (False, the
-    exception that stopped it) over conn."""
+def _worker(reader: int, writer: int, *share) -> NoReturn:
+    """A forked worker of _run_pass: write the pickle of (True, its _share)
+    or (False, the exception that stopped it) to its pipe in one write, and
+    exit.  Every path, SystemExit and KeyboardInterrupt included, ends in
+    os._exit, so the child never returns into the caller's code and never
+    flushes the stdio buffers it inherited."""
+    code = 1
     try:
-        result = (True, _share(*share))
-    except Exception as exc:
-        result = (False, exc)
-    conn.send(result)
+        os.close(reader)  # else a worker whose caller died could block on a full pipe for ever
+        try:
+            result = (True, _share(*share))
+        except Exception as exc:
+            result = (False, exc)
+        with open(writer, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
@@ -859,46 +872,58 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
 
     The tree is split into at least workers start states (_KeyWalk.split;
     for one worker, the root alone), dealt to the processes in contiguous
-    blocks.  This process starts workers - 1 workers, each with a one-way
-    pipe, its block and the static share types[i::workers-1] of the cycle
-    types (most cycles first), computes its own _share of the last block
-    meanwhile, with every cycle type if it is alone and none otherwise, and
-    then merges the workers' shares into its own: it adds their histograms,
-    joins their kept families and sums their orbit totals.  The start states
-    partition the tree's root-to-leaf paths, and keep looks at the key
-    alone, so each family is counted and kept by exactly one process; an
-    undecided set met below two blocks is walked twice, but its paths are
-    counted once.  A worker's exception is raised again here, and a worker
-    that exits without sending raises RuntimeError.  Every worker is stopped
-    and reaped before this returns or raises.
+    blocks.  This process forks workers - 1 workers with os.fork, each with
+    a one-way pipe, its block and the static share types[i::workers-1] of
+    the cycle types (most cycles first), computes its own _share of the last
+    block meanwhile, with every cycle type if it is alone and none
+    otherwise, and then reads each worker's pickled share to the end of its
+    pipe and merges it into its own: it adds their histograms, joins their
+    kept families and sums their orbit totals.  The start states partition
+    the tree's root-to-leaf paths, and keep looks at the key alone, so each
+    family is counted and kept by exactly one process; an undecided set met
+    below two blocks is walked twice, but its paths are counted once.  A
+    worker's exception is raised again here, and a worker that exits without
+    sending raises RuntimeError.  Every worker is sent SIGTERM and reaped
+    before this returns or raises.  It needs os.fork for workers > 1, which
+    run_verification checks.
     """
     jobs = tuple(jobs)
     layout = _key_layout(jobs)
     types = _nonidentity_types(n) if layout[0] else []
-    # the tables and the codec are built here, and inherited by forked workers
+    # the tables and the codec are built here, so that every forked worker
+    # inherits them instead of building its own
     starts = _KeyWalk(n, _key_codec(n, *layout)).split(workers)
     blocks = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]
               for i in range(workers)]
     procs = workers - 1
-    context = get_context()
-    running = []
+    if procs:
+        # a worker holds a copy of these buffers: were it to flush them, the
+        # caller's pending output would appear twice
+        sys.stdout.flush()
+        sys.stderr.flush()
+    pids, readers = [], []  # the workers not yet reaped, and the read end of every pipe
     try:
         for i in range(procs):
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_worker, daemon=True,
-                                      args=(sender, n, jobs, blocks[i], types[i::procs]))
-            process.start()
-            running.append((process, receiver))
-            sender.close()  # so that a worker's exit without sending reads as EOF
+            reader, writer = os.pipe()
+            readers.append(reader)
+            try:
+                pid = os.fork()
+                if not pid:
+                    _worker(reader, writer, n, jobs, blocks[i], types[i::procs])
+            finally:
+                os.close(writer)  # so that a worker's exit without sending reads as EOF
+            pids.append(pid)
         hist, kept, orbits = _share(n, jobs, blocks[-1], [] if procs else types)
         sums = [orbits]
-        for process, receiver in running:
-            try:
-                ok, value = receiver.recv()
-            except EOFError:
-                process.join()
-                raise RuntimeError(f"a pass worker exited with code {process.exitcode} "
-                                   f"before sending its results") from None
+        for pid, reader in zip(pids, readers):
+            with open(reader, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                status = os.waitpid(pid, 0)[1]
+                pids.remove(pid)  # reaped, so its pid may be reused: signal it no more
+                raise RuntimeError(f"a pass worker exited with code "
+                                   f"{os.waitstatus_to_exitcode(status)} before sending its results")
+            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             part_hist, part_kept, part_sum = value
@@ -907,10 +932,11 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
                 kept.setdefault(key, []).extend(fams)
             sums.append(part_sum)
     finally:
-        for process, receiver in running:
-            process.terminate()
-            process.join()
-            receiver.close()
+        for reader in readers:
+            os.close(reader)
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
     return hist, kept, _nonidentity_sum(sums)
 
 
@@ -1077,7 +1103,7 @@ def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
     }
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationResults:
     families_total: int
     theorem_reports: tuple[TheoremReport, ...]
@@ -1102,6 +1128,8 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
     """Run one enumeration pass at n serving all requested verification jobs."""
     if not isinstance(workers, int) or workers < 1:
         raise ParameterError(f"workers must be an integer of at least 1, got {workers!r}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ParameterError(f"workers > 1 needs os.fork, which this platform lacks, got {workers}")
     _check_cap(n, cap_override)
     started = time.monotonic()
     jobs: list[tuple[str, Params]] = []

@@ -19,13 +19,12 @@ k-uniform multiset can realize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from . import canonical
-from .params import Params, ParameterError
+from .params import Params, ParameterError, frozen
 
 __all__ = [
     "SetFamily", "mask_from_elements", "elements_from_mask", "complement_mask", "by_size_then_elements",
@@ -83,7 +82,7 @@ def by_size_then_elements(masks: Iterable[int]) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class SetFamily:
     """Duplicate-free family of subsets of [n]; bit x of `bits` marks mask x as a member."""
 

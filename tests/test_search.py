@@ -1,7 +1,6 @@
 """Enumeration and verification: generator soundness, oracles, theorem checks."""
 
 import hashlib
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial
 from operator import and_
-from types import SimpleNamespace
 
 import pytest
 
@@ -304,8 +302,16 @@ def test_broken_orbit_in_the_second_cell_sharing_it_raises(monkeypatch, victim_o
         run_verification(6, [first, second])
 
 
-# a patch of the module reaches the orbit-counting workers only if they are forked
-FORKED_WORKERS = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+# workers > 1 are forked, so a patch of the module reaches them
+FORKED_WORKERS = (1, 2) if hasattr(os, "fork") else (1,)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers > 1 are forked")
+
+
+def _assert_no_child_left():
+    """Every child this process forked has been reaped: waitpid finds none,
+    running or exited."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_burnside_divisibility_raises(monkeypatch):
@@ -321,11 +327,11 @@ def test_burnside_divisibility_raises(monkeypatch):
 
 def test_burnside_divisibility_raises_under_optimize():
     script = """
-import multiprocessing, sys
+import os, sys
 from msfam import InvariantError, Params, UNBOUNDED, count_iso_classes, run_verification, search
 original = search._cycle_type_totals
 search._cycle_type_totals = lambda *args: [t + 1 for t in original(*args)]
-workers = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+workers = (1, 2) if hasattr(os, "fork") else (1,)
 calls = [lambda: count_iso_classes(4)]
 calls += [lambda w=w: run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=w)
           for w in workers]
@@ -770,6 +776,7 @@ def test_orbit_walk_is_independent_of_the_step_order(n):
     assert walked or n < 3
 
 
+@needs_fork
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
     """At two workers the caller's _share walks a strict part of the tree,
@@ -802,7 +809,7 @@ def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
     # the second child of the root: (step index, U, family bits) without the key
     assert len(block) == 1 and block[0][:3] == search._KeyWalk(n).split(2)[1][:3]
     assert 0 < families < sum(serial_hist.values())
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -817,11 +824,10 @@ def test_one_worker_computes_one_share_in_the_caller(monkeypatch, n):
         shares.append((args, original(*args)))
         return shares[-1][1]
 
-    def refuse(*args, **kwargs):
+    def refuse():
         raise AssertionError("a pass at one worker starts no process")
     monkeypatch.setattr(search, "_share", share)
-    monkeypatch.setattr(search, "get_context",
-                        lambda: SimpleNamespace(Pipe=refuse, Process=refuse))
+    monkeypatch.setattr(os, "fork", refuse)
     hist, kept, orbits = search._run_pass(n, jobs, 1)
     [((got_n, got_jobs, block, types), (share_hist, share_kept, share_orbits))] = shares
     proper = (1 << ((1 << n) - 1)) - 2
@@ -870,6 +876,7 @@ def test_start_states_partition_the_tree(n):
         assert (hist, _sorted_kept(kept)) == (expected_hist, _sorted_kept(expected_kept))
 
 
+@needs_fork
 @pytest.mark.parametrize("n", [2, 3])
 def test_split_beyond_the_leaves_terminates(n):
     """More processes than leaves: the split stops at the leaves, some
@@ -884,9 +891,10 @@ def test_split_beyond_the_leaves_terminates(n):
     for workers in (2, 3, 4):
         hist, kept, orbits = search._run_pass(n, jobs, workers)
         assert (hist, _sorted_kept(kept), orbits) == (serial[0], _sorted_kept(serial[1]), serial[2])
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
 
 
+@needs_fork
 def test_pass_at_n7_equal_across_workers():
     """The benchmark's n=7 job set, whose kept achievers lie in both of the
     root's subtrees, at one to four workers."""
@@ -904,11 +912,10 @@ def test_pass_at_n7_equal_across_workers():
         assert got_hist == hist, workers
         assert _sorted_kept(got_kept) == _sorted_kept(kept), workers
         assert got_orbits == orbits, workers
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched count reaches the workers only through fork")
+@needs_fork
 @pytest.mark.parametrize("workers", [2, 3])
 def test_worker_exception_raised_in_caller(monkeypatch, workers):
     def broken(*args):
@@ -916,30 +923,100 @@ def test_worker_exception_raised_in_caller(monkeypatch, workers):
     monkeypatch.setattr(search, "_cycle_type_totals", broken)
     with pytest.raises(InvariantError, match="broken orbit count"):
         run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched count reaches the workers only through fork")
+def _script_stdout(script: str) -> str:
+    """The standard output of script run in its own interpreter on this
+    msfam, block-buffered; a hang fails on the timeout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True).stdout
+
+
+@needs_fork
 def test_worker_exit_without_sending_raises_in_caller():
-    # run in its own interpreter, so that a hang fails on the timeout
-    script = """
-import multiprocessing, os
+    out = _script_stdout("""
+import os
 from msfam import Params, UNBOUNDED, run_verification, search
 search._cycle_type_totals = lambda *args: os._exit(3)
 try:
     run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=2)
 except RuntimeError as exc:
-    print(type(exc).__name__, exc, len(multiprocessing.active_children()), sep="|")
-"""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60, check=True)
-    name, message, left = out.stdout.strip().split("|")
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        left = 0
+    print(type(exc).__name__, exc, left, sep="|")
+""")
+    name, message, left = out.strip().split("|")
     assert name == "RuntimeError" and "code 3" in message and left == "0"
 
 
+@needs_fork
+def test_worker_system_exit_never_unwinds_into_the_caller():
+    """A worker stopped by SystemExit, which _share does not catch, exits
+    without sending: the caller raises RuntimeError, and the child never
+    returns into the script, whose last line prints once."""
+    out = _script_stdout("""
+import os
+from msfam import Params, UNBOUNDED, run_verification, search
+caller, original = os.getpid(), search._share
+
+def share(*args):
+    if os.getpid() != caller:
+        raise SystemExit(0)
+    return original(*args)
+search._share = share
+try:
+    run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=2)
+except BaseException as exc:
+    print(type(exc).__name__, exc, sep="|")
+print("last line")
+""")
+    assert out.splitlines() == [
+        "RuntimeError|a pass worker exited with code 1 before sending its results", "last line"]
+
+
+@needs_fork
+def test_pending_stdout_written_once_across_a_fork():
+    """Text the caller left in its stdout buffer before a pass is not
+    written again by a worker, even one that flushes its copy."""
+    out = _script_stdout("""
+import sys
+from msfam import Params, UNBOUNDED, run_verification, search
+original = search._share
+
+def share(*args):
+    sys.stdout.flush()
+    return original(*args)
+search._share = share
+assert not (sys.stdout.line_buffering or sys.stdout.write_through)  # block-buffered
+print("before the pass")
+run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=2)
+print("after the pass")
+""")
+    assert out.splitlines() == ["before the pass", "after the pass"]
+
+
+def test_workers_above_one_need_fork(monkeypatch):
+    """Without os.fork, workers > 1 is refused before anything is walked,
+    and one worker still runs."""
+    passes = []
+    original = search._run_pass
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(search, "_run_pass", lambda *args: passes.append(args) or original(*args))
+    for workers in (2, 3):
+        with pytest.raises(ParameterError, match="os.fork"):
+            run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
+    assert not passes
+    serial = run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=1)
+    assert len(passes) == 1 and serial.families_total == MAXIMAL_COUNTS[5]
+
+
+@needs_fork
 def test_caller_exception_leaves_no_worker_running(monkeypatch):
     caller = os.getpid()
 
@@ -952,7 +1029,23 @@ def test_caller_exception_leaves_no_worker_running(monkeypatch):
     for workers in (2, 3):
         with pytest.raises(InvariantError, match="broken tree walk"):
             run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
-        assert not multiprocessing.active_children()
+        _assert_no_child_left()
+
+
+@needs_fork
+def test_no_child_left_check_fails_on_an_unreaped_worker(monkeypatch):
+    """Negative control: a pass whose finally signals its workers but never
+    reaps them leaves a child that _assert_no_child_left reports."""
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: (pid, 0))
+    run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=2)
+    monkeypatch.undo()
+    try:
+        with pytest.raises(pytest.fail.Exception):
+            _assert_no_child_left()
+    finally:
+        with pytest.raises(ChildProcessError):
+            while True:
+                os.waitpid(-1, 0)
 
 
 def _flags_by_definition(n, windows):
@@ -1031,8 +1124,7 @@ def test_orbit_systems_conflict_only_inside_one_outcome(n):
     assert conflicts or n < 4
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched count reaches the workers only through fork")
+@needs_fork
 def test_off_by_one_cycle_type_count_raises_at_two_workers(monkeypatch):
     original = search._cycle_type_totals
     monkeypatch.setattr(search, "_cycle_type_totals",
