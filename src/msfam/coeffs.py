@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .params import Cap, cap_text, frozen, is_unbounded, q_of
+from .params import Cap, frozen, is_unbounded, q_of
 
 __all__ = ["CoeffTable", "CoeffPropertyReport", "coeff", "coeff_table", "check_coeff_properties", "q_of"]
 
@@ -93,20 +93,6 @@ class CoeffPropertyReport:
         if self.fold_dominance_ok is not None:
             checks.append(self.fold_dominance_ok)
         return all(checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": cap_text(self.m),
-            "n": self.n,
-            "positivity_window": self.positivity_window_ok,
-            "bottom_unit": self.bottom_unit_ok,
-            "top_unit": self.top_unit_ok,
-            "fold_dominance": self.fold_dominance_ok,
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "notices": list(self.notices),
-        }
 
 
 def check_coeff_properties(k: int, m: Cap, n: int) -> CoeffPropertyReport:

@@ -22,27 +22,30 @@ Verification jobs ride along on a single enumeration pass.  The bound and
 the lemmas see a family only through its key: its layer counts and, per size
 k, the elements some k-member avoids.  Those masks say whether its valuable
 part qualifies for a job's window [q, k] (non-empty with empty total
-intersection, which for an up-set depends on layer k alone) and whether the
-star's layer n-k lies wholly inside it (no k-member avoids element 1).  The
-pass counts the keys, and keeps the family bitset only under a key that some
-job marks as interesting (an achiever, a violation or a rigidity candidate),
-decided the first time the key is seen.  The jobs then run once per distinct
-key: the six-job n=7 pass of the benchmark has 91 keys among its 1.42M
-families.  A node's completions depend only on its U, and the key of a
-family adds up over its members.  The pass therefore counts top-down over U
-rather than over the tree: each U pushes its node keys, with the number of
-paths to each, into its children, down to U = 0.  How many U it meets
-depends only on the order in which the pairs are decided, so the walk takes
-its own order, the one the frontier-based search of Kawahara et al. uses:
-each next pair is the one that leaves the fewest undecided pairs bordering
-the decided ones.  For that n=7 pass it is about 12k U and 26k (U, key)
-states (34k U in decision order, which takes the singletons first), where
-the tree has 1.42M leaves.  The families under interesting keys are then collected by a descent
-that enters only the states from which such a key is still reachable, and
-takes the last _MEMO_PAIRS pairs from a memo over U.  It takes the pairs in
-decision order, singletons first: its reach test compares layer counts, and
-those are fixed soonest there (the six-job n=7 collection, 147 families,
-takes about 3 ms against 6 ms in frontier order).
+intersection, which for an up-set depends on layer k alone).  The
+removed-layer lemma needs nothing more: a qualifying window has a k-member
+avoiding element 1, whose complement, an (n-k)-subset holding 1, is then no
+member by the pair rule, so the star's layer n-k never lies wholly inside a
+qualifying maximal family.  The pass counts the keys, and keeps the family
+bitset only under a key that some job marks as interesting (an achiever, a
+violation or a rigidity candidate), decided the first time the key is seen.
+The jobs then run once per distinct key: the six-job n=7 pass of the
+benchmark has 91 keys among its 1.42M families.  A node's completions depend
+only on its U, and the key of a family adds up over its members.  The pass
+therefore counts top-down over U rather than over the tree: each U pushes
+its node keys, with the number of paths to each, into its children, down to
+U = 0.  How many U it meets depends only on the order in which the pairs are
+decided, so the walk takes its own order, the one the frontier-based search
+of Kawahara et al. uses: each next pair is the one that leaves the fewest
+undecided pairs bordering the decided ones.  For that n=7 pass it is about
+12k U and 26k (U, key) states (34k U in decision order, which takes the
+singletons first), where the tree has 1.42M leaves.  The families under
+interesting keys are then collected by a descent that enters only the states
+from which such a key is still reachable, and takes the last _MEMO_PAIRS
+pairs from a memo over U.  It takes the pairs in decision order, singletons
+first: its reach test compares layer counts, and those are fixed soonest
+there (the six-job n=7 collection, 147 families, takes about 3 ms against
+6 ms in frontier order).
 Counting the families alone uses the same walk.  Isomorphism classes are
 S_n-orbits under relabelling of [n].  Their counts come from the
 orbit-counting lemma: for each cycle type the invariant families are counted
@@ -252,27 +255,23 @@ class _KeyCodec:
     The fields count a family's members on each layer l < n/2; the pair rule
     gives the other layers, count[n-l] = C(n, l) - count[l] and, for even n,
     count[n/2] = C(n, n/2) / 2.  Above the fields sits, per distinct size k
-    of the windows and n-s of the removed layers s, the n-bit mask of the
-    elements some k-member avoids.  The window (q, k) qualifies (its part of
-    the family is non-empty with empty total intersection) iff that mask is
-    full: only layer k matters, since the family is an up-set and k <= n-1,
-    so a member of size in [q, k] that avoids an element lies inside a
-    k-subset avoiding it, which is a member too.  The star's layer s (the
-    s-subsets holding element 1) lies wholly inside the family iff bit 0 of
-    the mask for n-s is clear: by the pair rule an s-subset holding 1 is a
-    member iff its complement, an (n-s)-subset avoiding 1, is not.  A member
-    x turns key into (key + add[x]) | cov[x], so the key of a disjoint union
-    of member sets is the sum of their fields and the union of their masks.
-    Each field is as wide as its largest possible value, which the
-    constructor checks: the contributions of all subsets together must
-    decode to exactly those maxima.  One zero guard bit sits above each
-    field, so that fields can be compared all at once by subtraction (see
-    _KeyWalk._collect).
+    of the windows, the n-bit mask of the elements some k-member avoids.
+    The window (q, k) qualifies (its part of the family is non-empty with
+    empty total intersection) iff that mask is full: only layer k matters,
+    since the family is an up-set and k <= n-1, so a member of size in
+    [q, k] that avoids an element lies inside a k-subset avoiding it, which
+    is a member too.  A member x turns key into (key + add[x]) | cov[x], so
+    the key of a disjoint union of member sets is the sum of their fields
+    and the union of their masks.  Each field is as wide as its largest
+    possible value, which the constructor checks: the contributions of all
+    subsets together must decode to exactly those maxima.  One zero guard
+    bit sits above each field, so that fields can be compared all at once
+    by subtraction (see _KeyWalk._collect).
     """
 
-    def __init__(self, n: int, windows: tuple, removed: tuple):
+    def __init__(self, n: int, windows: tuple):
         full = (1 << n) - 1
-        self.n, self.full, self.windows, self.removed = n, full, windows, removed
+        self.n, self.full, self.windows = n, full, windows
         self.layers = range(1, (n + 1) // 2)
         maxima = [comb(n, l) for l in self.layers]
         fields, width, self.guards = [], 0, 0
@@ -283,7 +282,7 @@ class _KeyCodec:
             width += 1
         self.fields = fields
         self.low = (1 << width) - 1  # the additive fields and their guard bits
-        sizes = dict.fromkeys([k for _, k in windows] + [n - s for s in removed])
+        sizes = dict.fromkeys(k for _, k in windows)
         self.cover_shift = {k: width + j * n for j, k in enumerate(sizes)}
         self.add, self.cov = [0] * full, [0] * full
         for x in range(1, full):
@@ -297,8 +296,7 @@ class _KeyCodec:
             raise InvariantError(f"a packed key field at n={n} is too narrow for its count")
 
     def decode(self, key: int) -> tuple:
-        """The key as (layer counts 0..n, window flags, per removed layer s
-        whether the star's layer s lies wholly inside the family)."""
+        """The key as (layer counts 0..n, window flags)."""
         n, full, shift = self.n, self.full, self.cover_shift
         counts = [0] * (n + 1)
         for l, (at, mask) in zip(self.layers, self.fields):
@@ -307,13 +305,12 @@ class _KeyCodec:
         if n % 2 == 0:
             counts[n // 2] = comb(n, n // 2) // 2
         flags = tuple(key >> shift[k] & full == full for _, k in self.windows)
-        inside = tuple(not key >> shift[n - s] & 1 for s in self.removed)
-        return tuple(counts), flags, inside
+        return tuple(counts), flags
 
 
 @lru_cache(maxsize=None)
-def _key_codec(n: int, windows: tuple, removed: tuple) -> _KeyCodec:
-    return _KeyCodec(n, windows, removed)
+def _key_codec(n: int, windows: tuple) -> _KeyCodec:
+    return _KeyCodec(n, windows)
 
 
 class _KeyWalk:
@@ -621,7 +618,7 @@ def _cycle_type_totals(n: int, windows: Sequence[tuple[int, int]],
     system = _orbit_system(n, perm)
     if system is None:
         return totals
-    codec = _key_codec(n, tuple(windows), ())
+    codec = _key_codec(n, tuple(windows))
     hist = _KeyWalk(n, codec, steps=_walk_steps(n, system)).histogram()[0]
     for key, count in hist.items():
         for i, ok in enumerate((True, *codec.decode(key)[1])):
@@ -759,7 +756,7 @@ def uniqueness_condition(p: Params) -> bool:
 THEOREM, LEMMAS = "theorem", "lemmas"
 ACHIEVER, RIGIDITY_CANDIDATE = "achiever", "rigidity-candidate"
 
-_JobConstants = namedtuple("_JobConstants", "coeffs bound v_sizes removed_layer")
+_JobConstants = namedtuple("_JobConstants", "coeffs bound v_sizes")
 
 
 @lru_cache(maxsize=None)
@@ -768,31 +765,27 @@ def _job_constants(p: Params) -> _JobConstants:
         coeffs=coeff_table(p.k, p.m).values,
         bound=hm_size(p),
         v_sizes=tuple(hm_shadow_layer_size(p, l) for l in range(p.n + 1)),
-        removed_layer=p.n - p.k,
     )
 
 
-def _key_layout(jobs: Sequence[tuple[str, Params]]) -> tuple[tuple, tuple]:
-    """The windows (q, k) and the removed layers n-k that a pass's keys record, in job order."""
-    windows = tuple(dict.fromkeys((p.q, p.k) for _, p in jobs))
-    removed = tuple(dict.fromkeys(_job_constants(p).removed_layer
-                                  for kind, p in jobs if kind == LEMMAS))
-    return windows, removed
+def _windows(jobs: Sequence[tuple[str, Params]]) -> tuple:
+    """The windows (q, k) that a pass's keys record, in job order."""
+    return tuple(dict.fromkeys((p.q, p.k) for _, p in jobs))
 
 
-def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple] | None:
+def _findings(job: tuple[str, Params], key: tuple, windows: tuple) -> list[tuple] | None:
     """What a family with this key means to one job.
 
     None when the family does not qualify for the job's window; otherwise
     its findings as (name, *details), empty when it is neither an achiever,
     a violation nor a rigidity candidate.  The key is (layer counts 0..n,
-    window flags, per removed layer whether the star's layer lies wholly
-    inside the family) as laid out by layout.  A lemma job reports
-    removed-layer-empty when that last flag holds at its removed layer.
+    window flags), one flag per entry of windows.  A lemma job has no
+    removed-layer finding: its window qualifies, so some k-member avoids
+    element 1, and by the pair rule the complement of that member, an
+    (n-k)-subset in the star's layer n-k, is no member.
     """
     kind, p = job
-    windows, removed = layout
-    counts, flags, inside = key
+    counts, flags = key
     if not flags[windows.index((p.q, p.k))]:
         return None
     c = _job_constants(p)
@@ -802,11 +795,8 @@ def _findings(job: tuple[str, Params], key: tuple, layout: tuple) -> list[tuple]
             return [(ACHIEVER,)]
         return [("bound-exceeded", size)] if size > c.bound else []
     v = c.v_sizes
-    found = []
-    if inside[removed.index(c.removed_layer)]:
-        found.append(("removed-layer-empty",))
-    found += [("layer-dominance-failed", l, counts[l])
-              for l in range(2, p.w + 1) if counts[l] > v[l]]
+    found = [("layer-dominance-failed", l, counts[l])
+             for l in range(2, p.w + 1) if counts[l] > v[l]]
     if v[p.q] and counts[p.q] == v[p.q]:
         bad = [l for l in range(p.q, p.k + 1) if counts[l] != v[l]]
         if bad:
@@ -824,14 +814,14 @@ def _share(n: int, jobs: tuple, block: list, types: list
     among them, both keyed by decoded key; then the _nonidentity_sum of the
     cycle types in types.  Whether a key is interesting is decided the first
     time it is seen."""
-    layout = _key_layout(jobs)
-    codec = _key_codec(n, *layout)
+    windows = _windows(jobs)
+    codec = _key_codec(n, windows)
     decode = lru_cache(maxsize=None)(codec.decode)
 
     @lru_cache(maxsize=None)
     def keep(key: int) -> bool:
         decoded = decode(key)
-        return any(_findings(job, decoded, layout) for job in jobs)
+        return any(_findings(job, decoded, windows) for job in jobs)
 
     packed, packed_kept = _KeyWalk(n, codec, keep).histogram(block)
     hist, kept = Counter(), {}
@@ -839,7 +829,7 @@ def _share(n: int, jobs: tuple, block: list, types: list
         hist[decode(key)] += count
     for key, fams in packed_kept.items():
         kept.setdefault(decode(key), []).extend(fams)
-    return hist, kept, _nonidentity_sum(_cycle_type_totals(n, layout[0], *cycle_type)
+    return hist, kept, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
                                         for cycle_type in types)
 
 
@@ -888,11 +878,11 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     run_verification checks.
     """
     jobs = tuple(jobs)
-    layout = _key_layout(jobs)
-    types = _nonidentity_types(n) if layout[0] else []
+    windows = _windows(jobs)
+    types = _nonidentity_types(n) if windows else []
     # the tables and the codec are built here, so that every forked worker
     # inherits them instead of building its own
-    starts = _KeyWalk(n, _key_codec(n, *layout)).split(workers)
+    starts = _KeyWalk(n, _key_codec(n, windows)).split(workers)
     blocks = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]
               for i in range(workers)]
     procs = workers - 1
@@ -940,7 +930,7 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     return hist, kept, _nonidentity_sum(sums)
 
 
-def _tally(job: tuple[str, Params], hist: Counter, kept: dict, layout: tuple
+def _tally(job: tuple[str, Params], hist: Counter, kept: dict, windows: tuple
            ) -> tuple[int, dict[str, list]]:
     """The families one job checked, and its findings by name, sorted: the
     family bitsets of a finding without details (an achiever, say), else
@@ -948,7 +938,7 @@ def _tally(job: tuple[str, Params], hist: Counter, kept: dict, layout: tuple
     checked = 0
     found: dict[str, list] = defaultdict(list)
     for key, count in hist.items():
-        findings = _findings(job, key, layout)
+        findings = _findings(job, key, windows)
         if findings is None:
             continue
         checked += count
@@ -1056,10 +1046,6 @@ def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
                      shadow_orbit: Callable[[Params], set[int]]) -> dict[str, LemmaReport]:
     n = p.n
     v_sizes = _job_constants(p).v_sizes
-    removed = [
-        {"type": "removed-layer-empty", "family": _family_json(bits, n)}
-        for bits in found["removed-layer-empty"][:_VIOLATION_CAP]
-    ]
     dominance = [
         {
             "type": "layer-dominance-failed", "layer": l, "count": c,
@@ -1097,7 +1083,8 @@ def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
         )
 
     return {
-        CHECK_REMOVED_LAYER: make(CHECK_REMOVED_LAYER, removed, checked),
+        # no qualifying family holds the star's layer n-k (see _findings)
+        CHECK_REMOVED_LAYER: make(CHECK_REMOVED_LAYER, [], checked),
         CHECK_LAYER_DOMINANCE: make(CHECK_LAYER_DOMINANCE, dominance, checked),
         CHECK_VALUABLE_RIGIDITY: make(CHECK_VALUABLE_RIGIDITY, rigid, len(candidates)),
     }
@@ -1145,12 +1132,11 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
     # from orbit counting: nonidentity holds the non-identity cycle types' totals
     hist, kept, nonidentity = _run_pass(n, jobs, workers)
     families_total = sum(hist.values())
-    layout = _key_layout(jobs)
-    windows = layout[0]
+    windows = _windows(jobs)
 
     runtime_ms = int((time.monotonic() - started) * 1000) if timing else None
 
-    tallies = [_tally(job, hist, kept, layout) for job in jobs]
+    tallies = [_tally(job, hist, kept, windows) for job in jobs]
     # every distinct orbit is closed once per pass: the achiever orbits
     # across the theorem cells, and the shadow's valuable part per window.
     # The achievers leave their tallies, so that their lists are freed
@@ -1208,7 +1194,8 @@ def verify_lemma_bundle(n: int, k: int, m: Cap, *, workers: int = 1,
 
 def verify_removed_layer(n: int, k: int, m: Cap, **kwargs) -> LemmaReport:
     """For every qualifying maximal family, the part of the star outside it
-    has a non-empty layer at size n-k."""
+    has a non-empty layer at size n-k.  The pair rule makes this hold for
+    every one (see _findings), so the report lists no violation."""
     return verify_lemma_bundle(n, k, m, **kwargs)[CHECK_REMOVED_LAYER]
 
 

@@ -126,11 +126,6 @@ class SetFamily:
             return 0
         return (self.bits & layer_bitsets(self.n)[l]).bit_count()
 
-    def layer_counts(self) -> tuple[int, ...]:
-        """Counts for layers 0..n."""
-        layers = layer_bitsets(self.n)
-        return tuple((self.bits & layers[l]).bit_count() for l in range(self.n + 1))
-
 
 def dual(fam: SetFamily) -> SetFamily:
     full = (1 << fam.n) - 1

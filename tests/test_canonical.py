@@ -90,10 +90,10 @@ def test_bitset_encoding_equals_vector_path_on_n7_achievers():
     assert len(cells) == 8
     jobs = [(search.THEOREM, p) for p in cells]
     hist, kept, _ = search._run_pass(7, jobs, 1)
-    layout = search._key_layout(jobs)
+    windows = search._windows(jobs)
     achievers = set()
     for job in jobs:
-        found = search._tally(job, hist, kept, layout)[1]
+        found = search._tally(job, hist, kept, windows)[1]
         assert found[search.ACHIEVER], job
         achievers.update(found[search.ACHIEVER])
     for bits in sorted(achievers):

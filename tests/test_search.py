@@ -20,7 +20,7 @@ from msfam import (
     count_maximal_families, enumerate_maximal_families, hm_shadow_layer_size, hm_size,
     is_maximal_intersecting_definitional, is_maximal_intersecting_sf, is_trivial,
     naive_enumerate_maximal, preimage_family, raw_max_nontrivial, run_verification,
-    uniqueness_condition, valuable_part,
+    hm_shadow_valuable, uniqueness_condition, valuable_part,
     verify_hm_theorem, verify_layer_dominance, verify_lemma_bundle, verify_removed_layer,
     verify_valuable_rigidity, verify_grid,
 )
@@ -226,8 +226,8 @@ def test_orbit_classes_match_canonical_grouping(n, k, m_key):
 def test_orbit_encoding_cache_is_exact_every_n6_cell(monkeypatch):
     jobs = [(search.THEOREM, p) for p in _admissible_cells(6)]
     hist, kept, _ = search._run_pass(6, jobs, 1)
-    layout = search._key_layout(jobs)
-    cells = [search._tally(job, hist, kept, layout)[1][search.ACHIEVER] for job in jobs]
+    windows = search._windows(jobs)
+    cells = [search._tally(job, hist, kept, windows)[1][search.ACHIEVER] for job in jobs]
     assert all(type(bits) is int for cell in cells for bits in cell)
     cold = []
     for achievers in cells:
@@ -406,6 +406,21 @@ def test_uniqueness_counts_valuable_part_orbits():
     assert report.uniqueness_verdict == "multiple-iso"
     assert [v for v in report.lemma_violations if v["type"] == "uniqueness-failed"] == [
         {"type": "uniqueness-failed", "achiever_classes": 2}]
+    # the triangle classes are the achievers outside the shadow's orbit: their
+    # valuable part (layer 3) is every 3-set meeting some 3-set T in two points
+    triples = [frozenset(t) for t in combinations(range(1, 8), 3)]
+
+    def triangle_part(family):
+        part = {frozenset(m) for m in family if len(m) == 3}
+        return any(part == {a for a in triples if len(a & t) >= 2} for t in triples)
+
+    assert not triangle_part(hm_shadow_valuable(Params(7, 3, 1)).member_sets())
+    triangles = [i for i, enc in enumerate(report.achievers) if triangle_part(enc)]
+    assert triangles == [0, 4, 5, 6]
+    assert [report.achiever_class_sizes[i] for i in triangles] == [105, 35, 105, 35]
+    assert [v for v in report.lemma_violations if v["type"] == "achiever-not-shadow"] == [
+        {"type": "achiever-not-shadow", "family": [list(m) for m in report.achievers[i]]}
+        for i in triangles]
 
 
 @pytest.mark.slow
@@ -583,7 +598,7 @@ def test_window_flags_need_only_layer_k(n):
     windows = tuple((q, k) for k in range(1, n) for q in range(1, k + 1))
     by_cap = {(p.q, p.k): p for k in range(1, n) for m in (1, 2, 3, UNBOUNDED)
               for p in [Params(n, k, m)]}
-    codec = search._KeyCodec(n, windows, ())
+    codec = search._KeyCodec(n, windows)
     full = (1 << n) - 1
     for fam in enumerate_maximal_families(n):
         expected = []
@@ -605,23 +620,21 @@ def _star_layer_inside(fam, s):
     return all((1, *rest) in members for rest in combinations(range(2, fam.n + 1), s - 1))
 
 
-def _key_by_definition(fam, windows, removed):
-    """(layer counts 0..n, window flags, per removed layer s whether the
-    star's layer s lies wholly inside the family)."""
+def _key_by_definition(fam, windows):
+    """(layer counts 0..n, window flags)."""
     sizes = [len(s) for s in fam.member_sets()]
     return (tuple(sizes.count(l) for l in range(fam.n + 1)),
-            tuple(_qualifies(_window_part(fam, q, k)) for q, k in windows),
-            tuple(_star_layer_inside(fam, s) for s in removed))
+            tuple(_qualifies(_window_part(fam, q, k)) for q, k in windows))
 
 
 def _leaf_by_leaf(n, jobs):
     """The pass's histogram and kept families, one family at a time from the definitions."""
-    windows, removed = search._key_layout(jobs)
+    windows = search._windows(jobs)
     hist, kept = Counter(), {}
     for fam in enumerate_maximal_families(n):
-        key = _key_by_definition(fam, windows, removed)
+        key = _key_by_definition(fam, windows)
         hist[key] += 1
-        if any(search._findings(job, key, (windows, removed)) for job in jobs):
+        if any(search._findings(job, key, windows) for job in jobs):
             kept.setdefault(key, []).append(fam.bits)
     return hist, {key: sorted(fams) for key, fams in kept.items()}
 
@@ -654,9 +667,9 @@ def _admissible_cells(n):
 
 
 @lru_cache(maxsize=None)
-def _keys_by_definition(n, layout):
+def _keys_by_definition(n, windows):
     """(bits, key by definition) of every maximal family on [n]."""
-    return [(fam.bits, _key_by_definition(fam, *layout)) for fam in enumerate_maximal_families(n)]
+    return [(fam.bits, _key_by_definition(fam, windows)) for fam in enumerate_maximal_families(n)]
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -667,18 +680,18 @@ def test_walk_equals_leaf_by_leaf_under_every_cell(monkeypatch, n, marks):
     every key and one that marks none.  _share over the root decides keep
     through _findings, which the last two patch."""
     jobs = tuple((kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS))
-    layout = search._key_layout(jobs)
+    windows = search._windows(jobs)
     findings = search._findings
-    keep = {"jobs": lambda key: any(findings(job, key, layout) for job in jobs),
+    keep = {"jobs": lambda key: any(findings(job, key, windows) for job in jobs),
             "every key": lambda key: True, "no key": lambda key: False}[marks]
     expected_hist, expected_kept = Counter(), {}
-    for bits, key in _keys_by_definition(n, layout):
+    for bits, key in _keys_by_definition(n, windows):
         expected_hist[key] += 1
         if keep(key):
             expected_kept.setdefault(key, []).append(bits)
     if marks != "jobs":
         monkeypatch.setattr(search, "_findings",
-                            lambda job, key, layout: [("kept",)] if keep(key) else [])
+                            lambda job, key, windows: [("kept",)] if keep(key) else [])
     hist, kept, orbits = search._share(n, jobs, search._KeyWalk(n).root, [])
     assert (hist, _sorted_kept(kept), orbits) == (expected_hist, _sorted_kept(expected_kept), [])
 
@@ -700,11 +713,11 @@ def _sorted_kept(kept):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_walk_is_independent_of_the_step_order(n):
     jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
-    layout = search._key_layout(jobs)
-    codec = search._key_codec(n, *layout)
+    windows = search._windows(jobs)
+    codec = search._key_codec(n, windows)
 
     def keep(key):
-        return any(search._findings(job, codec.decode(key), layout) for job in jobs)
+        return any(search._findings(job, codec.decode(key), windows) for job in jobs)
     steps = search._decision_steps(n, search._tables(n).decisions)
     orders = _step_orders(steps)
     assert search._tables(n).steps == orders[1]
@@ -760,8 +773,8 @@ def test_frontier_order_equals_its_reference(n):
 def test_orbit_walk_is_independent_of_the_step_order(n):
     """Every non-identity cycle type, with every key kept so that the
     invariant families themselves are compared too."""
-    windows = search._key_layout([(search.THEOREM, p) for p in _admissible_cells(n)])[0]
-    codec = search._key_codec(n, windows, ())
+    windows = search._windows([(search.THEOREM, p) for p in _admissible_cells(n)])
+    codec = search._key_codec(n, windows)
     walked = 0
     for perm, _ in search._nonidentity_types(n):
         system = search._orbit_system(n, perm)
@@ -783,7 +796,7 @@ def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
     the last of the root's two subtrees, and counts no orbits; the worker
     walks the rest and counts every cycle type."""
     jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
-    windows = search._key_layout(jobs)[0]
+    windows = search._windows(jobs)
     serial_hist, serial_kept, serial = search._run_pass(n, jobs, 1)
     original_totals, original_share = search._cycle_type_totals, search._share
     caller = os.getpid()
@@ -835,12 +848,12 @@ def test_one_worker_computes_one_share_in_the_caller(monkeypatch, n):
     assert types == search._nonidentity_types(n) and len(types) > 1
     assert hist is share_hist and kept is share_kept and orbits == share_orbits
     assert sum(hist.values()) == MAXIMAL_COUNTS[n] and kept
-    windows = search._key_layout(jobs)[0]
+    windows = search._windows(jobs)
     assert len(orbits) == 1 + len(windows) and orbits[0] > 0
 
 
 def _all_keys_codec(n):
-    return search._key_codec(n, *search._key_layout(
+    return search._key_codec(n, search._windows(
         [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]))
 
 
@@ -903,7 +916,7 @@ def test_pass_at_n7_equal_across_workers():
     jobs.append((search.LEMMAS, Params(7, 4, 2)))
     hist, kept, orbits = search._run_pass(7, jobs, 1)
     assert sum(hist.values()) == 1422564 and orbits
-    starts = search._KeyWalk(7, search._key_codec(7, *search._key_layout(jobs))).split(2)
+    starts = search._KeyWalk(7, search._key_codec(7, search._windows(jobs))).split(2)
     halves = [sum(map(len, search._share(7, tuple(jobs), [start], [])[1].values()))
               for start in starts]
     assert all(halves) and sum(halves) == sum(map(len, kept.values()))
@@ -1067,7 +1080,7 @@ def _flags_by_definition(n, windows):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_orbit_walk_equals_leaf_by_leaf_count(n):
-    windows = search._key_layout([(search.THEOREM, p) for p in _admissible_cells(n)])[0]
+    windows = search._windows([(search.THEOREM, p) for p in _admissible_cells(n)])
     assert windows
     flags = _flags_by_definition(n, windows)
     for perm, size in search._nonidentity_types(n):
@@ -1136,42 +1149,21 @@ def test_off_by_one_cycle_type_count_raises_at_two_workers(monkeypatch):
 def test_key_codec_fields_fit_at_n9():
     # n=9 lies past the enumeration guard; building the weights enumerates nothing
     n = 9
-    windows, removed = search._key_layout(_all_cells(n))
-    codec = search._KeyCodec(n, windows, removed)
-    # every subset at once: each field at its maximum, nothing spilling into the next.
-    # This set breaks the pair rule, which the star-layer flags rest on, so
-    # those are checked on the maximal families below instead.
+    windows = search._windows(_all_cells(n))
+    codec = search._KeyCodec(n, windows)
+    # every subset at once: each field at its maximum, nothing spilling into the next
     everything = (1 << ((1 << n) - 1)) - 2
-    counts, flags, _ = codec.decode(_packed_key(codec, everything))
+    counts, flags = codec.decode(_packed_key(codec, everything))
     assert counts[1:(n + 1) // 2] == tuple(comb(n, l) for l in range(1, (n + 1) // 2))
     assert all(flags)
-    assert codec.decode(_packed_key(codec, build_star(n).bits))[2] == (True,) * len(removed)
     for p in (Params(9, 4, 2), Params(9, 5, UNBOUNDED), Params(9, 7, 3)):
         for fam in (build_star(n), build_hm_shadow(p)):
             assert is_maximal_intersecting_sf(fam)
-            assert codec.decode(_packed_key(codec, fam.bits)) == \
-                _key_by_definition(fam, windows, removed)
-        # the lemma's own layer: the shadow leaves part of the star's layer n-k out
-        inside = codec.decode(_packed_key(codec, build_hm_shadow(p).bits))[2]
-        assert not inside[removed.index(n - p.k)]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_star_layer_flag_equals_its_definition(n):
-    """The flag read off bit 0 of the cover mask for n-s, against the
-    s-subsets holding 1 looked up among the members, for every maximal
-    family and every layer s; the star of 1 holds every layer."""
-    removed = tuple(range(1, n))
-    codec = search._KeyCodec(n, (), removed)
-    star = build_star(n).bits
-    inside_somewhere = [0] * len(removed)
-    for fam in enumerate_maximal_families(n):
-        expected = tuple(_star_layer_inside(fam, s) for s in removed)
-        assert codec.decode(_packed_key(codec, fam.bits))[2] == expected, fam.bits
-        if fam.bits == star:
-            assert all(expected)
-        inside_somewhere = [a + b for a, b in zip(inside_somewhere, expected)]
-    assert all(inside_somewhere)
+            assert codec.decode(_packed_key(codec, fam.bits)) == _key_by_definition(fam, windows)
+        # the lemma's own layer: the shadow qualifies and leaves part of the star's layer n-k out
+        shadow = build_hm_shadow(p)
+        assert _qualifies(_window_part(shadow, p.q, p.k))
+        assert not _star_layer_inside(shadow, n - p.k)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -1225,23 +1217,55 @@ def test_perturbed_shadow_layer_fails_dominance_and_rigidity(monkeypatch):
     assert bundle[CHECK_REMOVED_LAYER].passed
 
 
-def test_raised_removed_layer_reports_the_families_holding_that_star_layer(monkeypatch):
+def _holding_star_layer(n, p, s):
+    """The qualifying families on [n] for p's window that hold the star's layer s."""
+    return [bits for bits in _qualifying(n, p) if _star_layer_inside(SetFamily(n=n, bits=bits), s)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_no_qualifying_family_holds_the_star_layer_n_minus_k(n):
+    """The removed-layer lemma from the definitions, without the codec: at
+    every admissible lemma cell no qualifying maximal family holds every
+    (n-k)-subset with element 1, and the report says the same."""
+    cells = _admissible_cells(n)
+    for p in cells:
+        assert _holding_star_layer(n, p, n - p.k) == [], p
+    assert sum(len(_qualifying(n, p)) for p in cells) or n < 4
+    bundles = run_verification(n, lemma_params=cells, check=False).lemma_bundles
+    for p, bundle in zip(cells, bundles):
+        report = bundle[CHECK_REMOVED_LAYER]
+        assert report.violations == ()
+        assert report.candidates == report.families_checked == len(_qualifying(n, p)), p
+
+
+def test_star_layer_above_n_minus_k_is_held_by_qualifying_families():
+    """The negative control of the test above: the same predicate one layer
+    higher finds families."""
     p = Params(6, 4, 2)
-    qualifying = _qualifying(6, p)
-    # at the true layer n-k = 2 the check has nothing to report
-    assert not any(_star_layer_inside(SetFamily(n=6, bits=bits), 2) for bits in qualifying)
-    _patch_constants(monkeypatch, lambda c: c._replace(removed_layer=c.removed_layer + 1))
-    report = verify_removed_layer(6, 4, 2)
-    expected = sorted(bits for bits in qualifying if _star_layer_inside(SetFamily(n=6, bits=bits), 3))
-    assert (len(expected), len(qualifying)) == (31, 2634)
-    assert _reported(report.violations, "removed-layer-empty") == [(b,) for b in expected]
+    assert (len(_holding_star_layer(6, p, 3)), len(_qualifying(6, p))) == (31, 2634)
+
+
+def test_star_as_shadow_fails_rigidity_and_uniqueness(monkeypatch):
+    """With the star's valuable part standing in for the shadow's, every
+    rigidity candidate at (6,4,2) has a valuable part outside its orbit, and
+    the one achiever class at (6,4,3) is no longer the shadow's."""
+    p = Params(6, 4, 2)
+    monkeypatch.setattr(search, "hm_shadow_valuable", lambda p: valuable_part(build_star(p.n), p))
+    report = verify_valuable_rigidity(6, 4, 2)
+    v_q = hm_shadow_layer_size(p, p.q)
+    candidates = sorted(bits for bits, (layers, _, _) in _qualifying(6, p).items()
+                        if layers[p.q] == v_q)
+    assert report.candidates == len(candidates) == 30
+    assert _reported(report.violations, "valuable-part-not-isomorphic") == [(b,) for b in candidates]
+    theorem = verify_hm_theorem(6, 4, 3)
+    assert [v["type"] for v in theorem.lemma_violations] == ["achiever-not-shadow"]
+    assert theorem.lemma_violations[0]["family"] == [list(m) for m in theorem.achievers[0]]
 
 
 def test_violation_cap_applies_after_sorting(monkeypatch):
     monkeypatch.setattr(search, "_VIOLATION_CAP", 3)
     _patch_constants(monkeypatch, lambda c: c._replace(
-        bound=c.bound - 1, removed_layer=c.removed_layer + 1,
-        v_sizes=tuple(s - (l == 2) for l, s in enumerate(c.v_sizes))))
+        bound=c.bound - 1, v_sizes=tuple(s - (l == 2) for l, s in enumerate(c.v_sizes))))
 
     def run(workers):
         res = run_verification(6, theorem_params=[Params(6, 4, 2)],
@@ -1259,10 +1283,10 @@ def test_violation_cap_applies_after_sorting(monkeypatch):
     smallest = sorted(bits for bits, (_, size, _) in _qualifying(6, p).items()
                       if size >= hm_size(p))[:3]
     assert _reported(theorem.lemma_violations, "bound-exceeded") == [(b,) for b in smallest]
-    for name, kind in ((CHECK_REMOVED_LAYER, "removed-layer-empty"),
-                       (CHECK_LAYER_DOMINANCE, "layer-dominance-failed"),
+    for name, kind in ((CHECK_LAYER_DOMINANCE, "layer-dominance-failed"),
                        (CHECK_VALUABLE_RIGIDITY, "valuable-layer-mismatch")):
         assert len(_reported(bundle[name].violations, kind)) == 3
+    assert bundle[CHECK_REMOVED_LAYER].violations == ()
 
 
 def test_uniqueness_condition():
