@@ -25,15 +25,20 @@ Set families get the same encoding without the permutation search below
 the orbit of any one of them under the symmetric groups of the position
 blocks, so they are closed on the family bitset by a coset chain of delta
 swaps; with position p written as bit n-1-p the least sorted member list is
-a single reduce over that orbit.  canonical_vectors and find_isomorphism serve
-multiset families and set_families_isomorphic.
+a single reduce over that orbit.
+
+Multiset families and set_families_isomorphic go through one search,
+_least_image, which returns the least image and the first relabeling that
+gives it.  canonical_vectors is the least image.  find_isomorphism compares
+two least images: the families are isomorphic iff they are equal, and then
+a's relabeling followed by the inverse of b's is the witness.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from _blake2 import blake2b  # what hashlib.blake2b is, without loading OpenSSL
-from itertools import permutations
+from itertools import chain, permutations, product
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -195,14 +200,6 @@ def _planes(items: Sequence[Vector]) -> list[list[int]]:
     return planes
 
 
-def _color_classes(colors: list[int]) -> list[list[int]]:
-    """Positions grouped by color, classes ordered by color value."""
-    by_color: dict[int, list[int]] = {}
-    for e, c in enumerate(colors):
-        by_color.setdefault(c, []).append(e)
-    return [by_color[c] for c in sorted(by_color)]
-
-
 def _remap_sorted(items: Sequence[Vector], perm: Sequence[int]) -> tuple[Vector, ...]:
     """Sorted member list after sending position e to perm[e]."""
     n = len(perm)
@@ -217,77 +214,47 @@ def _remap_sorted(items: Sequence[Vector], perm: Sequence[int]) -> tuple[Vector,
     return tuple(out)
 
 
-def canonical_vectors(items: Sequence[Vector], n: int) -> tuple[Vector, ...]:
-    """Least sorted member list over class-consistent relabelings."""
+def _least_image(items: Sequence[Vector], n: int) -> tuple[tuple[Vector, ...], list[int]]:
+    """The least sorted member list over the class-consistent relabelings,
+    and the first relabeling that gives it, position e going to perm[e]."""
     items = [tuple(it) for it in items]
     if not items:
-        return ()
-    classes = _color_classes(_element_colors(_planes(items), n))
-    starts = []
-    pos = 0
-    for cls in classes:
-        starts.append(pos)
-        pos += len(cls)
+        return (), list(range(n))
+    classes = [[e for e in range(n) if mask >> e & 1]
+               for _, mask in _groups(_element_colors(_planes(items), n))]
     best = None
-    perm = [0] * n
-
-    def rec(ci: int):
-        nonlocal best
-        if ci == len(classes):
-            enc = _remap_sorted(items, perm)
-            if best is None or enc < best:
-                best = enc
-            return
-        cls = classes[ci]
-        base = starts[ci]
-        for arrangement in permutations(cls):
-            for offset, e in enumerate(arrangement):
-                perm[e] = base + offset
-            rec(ci + 1)
-
-    rec(0)
+    for arrangement in product(*map(permutations, classes)):
+        perm = [0] * n
+        for i, e in enumerate(chain.from_iterable(arrangement)):
+            perm[e] = i
+        enc = _remap_sorted(items, perm)
+        if best is None or enc < best[0]:
+            best = enc, perm
     return best
 
 
-def find_isomorphism(items_a: Sequence[Vector], items_b: Sequence[Vector], n: int) -> list[int] | None:
-    """A 0-based position bijection sending family a onto family b, or None.
+def canonical_vectors(items: Sequence[Vector], n: int) -> tuple[Vector, ...]:
+    """Least sorted member list over class-consistent relabelings."""
+    return _least_image(items, n)[0]
 
-    Candidates are restricted to color-compatible assignments; each complete
-    assignment is verified against the full member lists.
+
+def find_isomorphism(items_a: Sequence[Vector], items_b: Sequence[Vector], n: int
+                     ) -> tuple[int, ...] | None:
+    """A relabeling sending family a onto family b, or None: position e goes
+    to sigma[e] - 1.
+
+    The families are isomorphic iff their least images are equal; then a's
+    relabeling followed by the inverse of b's sends a onto b.
     """
-    items_a = [tuple(it) for it in items_a]
-    items_b = [tuple(it) for it in items_b]
     if len(items_a) != len(items_b):
         return None
-    if sorted(items_a) == sorted(items_b):
-        return list(range(n))
-    colors_a = _element_colors(_planes(items_a), n)
-    colors_b = _element_colors(_planes(items_b), n)
-    if sorted(colors_a) != sorted(colors_b):
+    if sorted(map(tuple, items_a)) == sorted(map(tuple, items_b)):
+        return tuple(range(1, n + 1))
+    least_a, perm_a = _least_image(items_a, n)
+    least_b, perm_b = _least_image(items_b, n)
+    if least_a != least_b:
         return None
-    candidates_by_color: dict[int, list[int]] = {}
-    for e, c in enumerate(colors_b):
-        candidates_by_color.setdefault(c, []).append(e)
-    # assign positions of a in order of increasing candidate-set size
-    order = sorted(range(n), key=lambda e: (len(candidates_by_color[colors_a[e]]), e))
-    target = tuple(sorted(items_b))
-    perm = [-1] * n
-    used = [False] * n
-
-    def rec(idx: int) -> bool:
-        if idx == n:
-            return _remap_sorted(items_a, perm) == target
-        e = order[idx]
-        for f in candidates_by_color[colors_a[e]]:
-            if not used[f]:
-                perm[e] = f
-                used[f] = True
-                if rec(idx + 1):
-                    return True
-                used[f] = False
-        perm[e] = -1
-        return False
-
-    if rec(0):
-        return perm
-    return None
+    inverse_b = [0] * n
+    for e, image in enumerate(perm_b):
+        inverse_b[image] = e
+    return tuple(inverse_b[image] + 1 for image in perm_a)

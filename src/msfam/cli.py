@@ -56,7 +56,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_cap_list(text: str) -> list[Cap]:
-    return [parse_cap(piece) for piece in text.split(",") if piece.strip()]
+    out = [parse_cap(piece) for piece in text.split(",") if piece.strip()]
+    if not out:
+        raise ParameterError(f"empty list {text!r}")
+    return out
 
 
 def _resolve_out(path: str | None) -> str | None:

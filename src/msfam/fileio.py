@@ -124,6 +124,8 @@ def read_set_family(inp: TextIO | str) -> SetFamily:
         n = int(header[0])
     except ValueError:
         raise FileFormatError(f"bad header {header!r}") from None
+    if n < 1:
+        raise FileFormatError(f"ground set size must be at least 1, got {n}")
     masks = []
     for line in inp:
         if not line.strip():

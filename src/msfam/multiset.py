@@ -193,13 +193,8 @@ def families_isomorphic(fam: MultisetFamily, other: MultisetFamily) -> tuple[boo
     """Decide whether a relabeling of [n] maps one family onto the other; return a witness."""
     if fam.params != other.params:
         raise ParameterError("families must share parameters")
-    if len(fam) != len(other):
-        return False, None
-    perm0 = canonical.find_isomorphism(fam.members, other.members, fam.params.n)
-    if perm0 is None:
-        return False, None
-    sigma = tuple(perm0[i] + 1 for i in range(fam.params.n))
-    return True, sigma
+    sigma = canonical.find_isomorphism(fam.members, other.members, fam.params.n)
+    return sigma is not None, sigma
 
 
 def canonical_form(fam: MultisetFamily) -> tuple[Multiset, ...]:

@@ -1212,7 +1212,10 @@ def verify_valuable_rigidity(n: int, k: int, m: Cap, **kwargs) -> LemmaReport:
 def verify_grid(k_values: Sequence[int], m_values: Sequence[Cap], n_max: int, *,
                 workers: int = 1, cap_override: bool = False, check: bool = True,
                 timing: bool = False) -> list[TheoremReport]:
-    """Theorem verification over every admissible (n, k, m), one pass per n."""
+    """Theorem verification over every admissible (n, k, m), one pass per n.
+
+    A cell named more than once is verified and reported once.
+    """
     by_n: dict[int, list[Params]] = {}
     for k in k_values:
         for m in m_values:
@@ -1222,7 +1225,7 @@ def verify_grid(k_values: Sequence[int], m_values: Sequence[Cap], n_max: int, *,
     reports: list[TheoremReport] = []
     for n in sorted(by_n):
         results = run_verification(
-            n, theorem_params=by_n[n], workers=workers,
+            n, theorem_params=list(dict.fromkeys(by_n[n])), workers=workers,
             cap_override=cap_override, check=check, timing=timing,
         )
         reports.extend(results.theorem_reports)

@@ -375,12 +375,8 @@ def set_families_isomorphic(fam: SetFamily, other: SetFamily) -> tuple[bool, tup
     """Relabeling of [n] mapping one family onto the other, as a 1-based witness."""
     if fam.n != other.n:
         raise ParameterError("families disagree on n")
-    if len(fam) != len(other):
-        return False, None
-    perm0 = canonical.find_isomorphism(_member_vectors(fam), _member_vectors(other), fam.n)
-    if perm0 is None:
-        return False, None
-    return True, tuple(perm0[i] + 1 for i in range(fam.n))
+    sigma = canonical.find_isomorphism(_member_vectors(fam), _member_vectors(other), fam.n)
+    return sigma is not None, sigma
 
 
 def canonical_set_family(fam: SetFamily) -> tuple[tuple[int, ...], ...]:
@@ -400,15 +396,16 @@ def canonical_set_family(fam: SetFamily) -> tuple[tuple[int, ...], ...]:
     canonical._element_colors.
     """
     n = fam.n
-    classes = canonical._color_classes(canonical._element_colors([list(fam.members())], n))
+    colors = canonical._element_colors([list(fam.members())], n)
     image = [0] * n  # the block order of positions, position p as bit n-1-p
     runs = []
     bit = n
-    for cls in classes:
-        for e in cls:
-            bit -= 1
-            image[e] = bit
-        runs.append(_transpositions(n)[bit:bit + len(cls) - 1])
+    for _, cls in canonical._groups(colors):
+        for e in range(n):
+            if cls >> e & 1:
+                bit -= 1
+                image[e] = bit
+        runs.append(_transpositions(n)[bit:bit + cls.bit_count() - 1])
     start = _relabel(fam.bits, image, n)
     best = start
     for g in _swap_closure(start, runs):

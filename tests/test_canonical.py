@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msfam import (
-    Params, SetFamily, UNBOUNDED, canonical_set_family, enumerate_maximal_families,
-    set_families_isomorphic, uniqueness_condition,
+    MultisetFamily, Params, SetFamily, UNBOUNDED, canonical_form, canonical_set_family,
+    enumerate_maximal_families, families_isomorphic, permute_family, set_families_isomorphic,
+    uniqueness_condition,
 )
 from msfam import canonical, search
 from msfam.canonical import canonical_vectors, find_isomorphism
@@ -65,6 +66,43 @@ def test_canonical_vectors_fixed_point():
 def test_find_isomorphism_none_on_different_shapes():
     assert find_isomorphism([(1, 0)], [(1, 1)], 2) is None
     assert find_isomorphism([(1, 0)], [(1, 0), (0, 1)], 2) is None
+
+
+C6 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6))
+TWO_TRIANGLES = ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6))
+
+
+def _edge_vectors(edges):
+    return [tuple(int(e + 1 in edge) for e in range(6)) for edge in edges]
+
+
+def test_pair_that_colour_refinement_cannot_settle():
+    # both graphs are 2-regular on 6 edges: every position of both gets the
+    # same single colour, so only the least-image search tells them apart
+    cycle, triangles = (SetFamily.from_sets(6, edges) for edges in (C6, TWO_TRIANGLES))
+    colors = [canonical._element_colors([list(fam.members())], 6) for fam in (cycle, triangles)]
+    assert colors[0] == colors[1] and len(set(colors[0])) == 1
+    assert canonical_set_family(cycle) != canonical_set_family(triangles)
+    assert set_families_isomorphic(cycle, triangles) == (False, None)
+    p = Params(6, 2, 1)
+    cycle_mf, triangles_mf = (MultisetFamily.from_iterable(p, _edge_vectors(edges))
+                              for edges in (C6, TWO_TRIANGLES))
+    assert canonical_form(cycle_mf) != canonical_form(triangles_mf)
+    assert families_isomorphic(cycle_mf, triangles_mf) == (False, None)
+
+    # relabel C6 by a permutation that is no automorphism: the witness must
+    # send the cycle onto that image, not onto the cycle itself
+    perm = [0, 2, 4, 1, 3, 5]
+    image = SetFamily.from_masks(6, (_permute_mask(x, perm, 6) for x in cycle.members()))
+    assert image != cycle
+    ok, witness = set_families_isomorphic(cycle, image)
+    assert ok
+    assert SetFamily.from_masks(6, (_permute_mask(x, [w - 1 for w in witness], 6)
+                                    for x in cycle.members())) == image
+    image_mf = permute_family(tuple(e + 1 for e in perm), cycle_mf)
+    ok, sigma = families_isomorphic(cycle_mf, image_mf)
+    assert ok
+    assert permute_family(sigma, cycle_mf) == image_mf
 
 
 def _vector_encoding(fam):

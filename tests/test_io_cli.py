@@ -56,6 +56,10 @@ def test_bad_headers():
         read_multiset_family("4 3\n")
     with pytest.raises(FileFormatError):
         read_set_family("x\n")
+    with pytest.raises(FileFormatError):
+        read_set_family("-1\n")
+    with pytest.raises(FileFormatError):
+        read_set_family("0\n")
 
 
 def test_set_family_roundtrip():
@@ -164,6 +168,13 @@ def test_cli_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("m", [",", ""])
+def test_cli_grid_empty_cap_list_exit_2(capsys, m):
+    code, out, err = run_cli(capsys, "grid", "--k", "4", "--m", m, "--n-max", "6")
+    assert (code, out) == (2, "")
+    assert "empty list" in err
+
+
 def test_cli_cap_exceeded_exit_2(capsys):
     code, out, err = run_cli(capsys, "enumerate-maximal", "--n", "9")
     assert (code, out) == (2, "")
@@ -249,6 +260,18 @@ def test_cli_grid_report_dir(tmp_path, capsys):
     report = tmp_path / "theorem_n6_k4_m3.json"
     assert report.exists()
     assert json.loads(report.read_text())["bound"] == 53
+
+
+def test_cli_grid_repeated_values_give_one_cell(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "grid", "--k", "4,4", "--m", "2", "--n-max", "6",
+                           "--report-dir", str(tmp_path))
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["6,4,2,45,2634,28,28,not-applicable,0"]
+    assert [p.name for p in tmp_path.iterdir()] == ["theorem_n6_k4_m2.json"]
+    code, out, _ = run_cli(capsys, "grid", "--k", "4", "--m", "2,2", "--n-max", "6",
+                           "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 1
 
 
 def test_cli_identical_runs_byte_identical(capsys):
