@@ -93,13 +93,14 @@ def read_multiset_family(inp: TextIO | str) -> MultisetFamily:
         n, k = int(header[0]), int(header[1])
     except ValueError:
         raise FileFormatError(f"bad header {header!r}") from None
-    m = parse_cap(header[2])
-    p = Params(n, k, m)
-    members = []
-    for line in inp:
-        if line.strip():
-            members.append(parse_multiset(line, n))
-    return MultisetFamily.from_iterable(p, members)
+    # a header Params rejects, or a member that breaks k or the cap, is a
+    # malformed file like any other
+    try:
+        p = Params(n, k, parse_cap(header[2]))
+        members = [parse_multiset(line, n) for line in inp if line.strip()]
+        return MultisetFamily.from_iterable(p, members)
+    except ParameterError as exc:
+        raise FileFormatError(str(exc)) from None
 
 
 def write_set_family(fam: SetFamily, out: TextIO) -> None:

@@ -15,8 +15,7 @@ members taken in form an up-set and those left out a down-set, so an
 undecided subset can still go either way; there is no trail and nothing to
 undo.  Every leaf, U = 0, is a maximal family and every maximal family
 appears exactly once.  _leaves walks the completions of one U depth first;
-enumeration streams the root's, in decision order, and the collection below
-takes those of small U from it.
+enumeration streams the root's, in decision order.
 
 Verification jobs ride along on a single enumeration pass.  The bound and
 the lemmas see a family only through its key: its layer counts and, per size
@@ -40,12 +39,13 @@ of Kawahara et al. uses: each next pair is the one that leaves the fewest
 undecided pairs bordering the decided ones.  For that n=7 pass it is about
 12k U and 26k (U, key) states (34k U in decision order, which takes the
 singletons first), where the tree has 1.42M leaves.  The families under
-interesting keys are then collected by a descent that enters only the states
-from which such a key is still reachable, and takes the last _MEMO_PAIRS
-pairs from a memo over U.  It takes the pairs in decision order, singletons
+interesting keys are then collected by the same sweep, with the family bits
+that reach each (U, key) in place of its path count; it drops the states
+from which no such key is still reachable, short of the last
+_UNTESTED_PAIRS pairs.  It takes the pairs in decision order, singletons
 first: its reach test compares layer counts, and those are fixed soonest
-there (the six-job n=7 collection, 147 families, takes about 3 ms against
-6 ms in frontier order).
+there (the six-job n=7 collection, 147 families, takes about 3-4 ms against
+7-8 ms in frontier order).
 Counting the families alone uses the same walk.  Isomorphism classes are
 S_n-orbits under relabelling of [n].  Their counts come from the
 orbit-counting lemma: for each cycle type the invariant families are counted
@@ -128,13 +128,15 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_ORACLE_VERTEX_CAP = 120
 _VIOLATION_CAP = 1000
-# _KeyWalk collects the families of subtrees with at most this many undecided
-# pairs from a memo of their completions.  The walk of the (7,6,inf) pass,
-# which keeps all 1.42M families, took 2.4-2.9, 1.8-2.2, 1.3-1.8 and 1.4-1.5 s
-# at 2, 3, 4 and 5 (three runs each, 2-core Xeon), but the collection of the six-job n=7
-# pass, the common case, took 6.1, 5.7, 6.1 and 6.4 ms (medians of nine), and
-# that of the six-job n=6 pass 3.8, 3.8, 3.9 and 5.9 ms
-_MEMO_PAIRS = 3
+# _KeyWalk._collect applies its reach test only while more than this many
+# pairs are undecided.  At 0, 1, 2, 3, 4 and 5 (medians of 19 after a warm-up,
+# three rounds, on a shared 2-core Xeon whose speed varied by half) the
+# collection of the six-job n=7 pass, the common case, took 3.1-4.9, 2.9-4.6,
+# 2.8-4.7, 2.8-4.7, 3.9-5.7 and 3.4-5.5 ms, that of the six-job n=6 pass
+# 2.0-3.3, 2.0-3.4, 1.8-3.1, 1.7-2.8, 1.9-2.7 and 1.5-2.4 ms, and that of the
+# (7,6,inf) pass, which keeps all 1.42M families, 0.60-0.91, 0.61-0.98,
+# 0.69-0.95, 0.67-0.94, 0.57-0.85 and 0.55-0.80 s
+_UNTESTED_PAIRS = 3
 
 CHECK_REMOVED_LAYER = "removed-layer"
 CHECK_LAYER_DOMINANCE = "layer-dominance"
@@ -347,14 +349,13 @@ class _KeyWalk:
     (U, key) over 12k distinct U, at most 8k of them held at once, where
     the tree has 1.42M leaves (64k over 34k, 25k at once, in decision order).
 
-    The families under kept keys are then collected by a second descent,
-    which enters a state only if some kept key of the histogram is still
-    reachable from it: each additive field grows by at most the members of
-    U that feed it, and cover bits are only added.  That verdict is
-    memoised per (U, key) for the call.  Once at most _MEMO_PAIRS pairs are
-    undecided, the descent takes the completions of U (_leaves), with their
-    keys, from a memo over U, together with the exact verdict per (key, U):
-    whether a completion gives a kept key.
+    The families under kept keys are then collected by a second sweep of
+    the same kind, which holds per (U, key) the bits of the families that
+    reach it instead of their number.  While more than _UNTESTED_PAIRS
+    pairs are undecided, it drops a (U, key) from which no kept key of the
+    histogram is still reachable: each additive field grows by at most the
+    members of U that feed it, and cover bits are only added.  The last
+    pairs go untested, and at U = 0 keep picks the kept keys.
     """
 
     def __init__(self, n: int, codec: _KeyCodec | None = None,
@@ -393,10 +394,6 @@ class _KeyWalk:
         deltas = self.deltas
         masks, fields = deltas.get(new) or deltas.setdefault(new, self._delta(new))
         return (key | masks) + fields
-
-    def _join(self, key: int, part: int) -> int:  # a node's key and one of its completions'
-        low = self.low
-        return ((key | part) & ~low) | ((key + part) & low)
 
     def histogram(self, starts: list | None = None) -> tuple[Counter, dict[int, list[int]]]:
         """The key histogram of the leaves below starts, the root by default,
@@ -455,60 +452,48 @@ class _KeyWalk:
 
     def _collect(self, targets: list[int], starts: list) -> dict[int, list[int]]:
         """The families below starts under the keys targets that keep marks.
-        A state (U, key) is entered only if some target is still reachable
-        from it, which is memoised per (U, key) for the call; the fields are
-        compared all at once, since with the guard bits set in the minuend a
-        field's guard survives the subtraction iff that field did not go
-        negative.  A U's completions do not depend on the step order, so
-        each start state is descended from the first of collect_steps."""
-        steps, keep, plus, join = self.collect_steps, self.keep, self._plus, self._join
+
+        The same level sweep as _count in collect_steps order, each start
+        state seeded at step 0 (a U's completions do not depend on the step
+        order), with the list of family bits that reach each (U, key) where
+        _count holds a path count.  While U holds more than 2 * _UNTESTED_PAIRS
+        items, a (U, key) is kept only if some target is still reachable
+        from it, and a U none of whose keys is kept has no children.  The
+        fields are compared all at once, since with the guard bits set in
+        the minuend a field's guard survives the subtraction iff that field
+        did not go negative.  At U = 0 the keys that keep marks are the
+        result."""
+        steps, deltas, delta = self.collect_steps, self.deltas, self._delta
         low, guards, feeds = self.low, self.guards, self.feeds
-        limit = 2 * _MEMO_PAIRS
+        limit = 2 * _UNTESTED_PAIRS
         lifted = [(t & low | guards, t) for t in targets]
-        reachable: dict[tuple[int, int], bool] = {}
-        # U -> (its completions with their keys; per node key met with U,
-        # whether a completion gives a kept key)
-        memo: dict[int, tuple[list, dict[int, bool]]] = {}
-        kept: dict[int, list[int]] = defaultdict(list)
-
-        def descend(idx: int, u: int, fam: int, key: int) -> None:
-            if u.bit_count() <= limit:
-                entry = memo.get(u)
-                if entry is None:
-                    # a completion's key is its members' key taken at once:
-                    # fields add and cover masks OR, so _delta is additive
-                    entry = memo[u] = ([(t, plus(0, t)) for t in _leaves(steps, idx, u)], {})
-                completions, walks = entry
-                walk = walks.get(key)
-                if walk is None:
-                    walk = walks[key] = any(keep(join(key, part)) for _, part in completions)
-                if walk:
-                    for t, part in completions:
-                        leaf = join(key, part)
-                        if keep(leaf):
-                            kept[leaf].append(fam | t)
-                return
-            verdict = reachable.get((u, key))
-            if verdict is None:
-                # guards plus, per field, how many members of U could still add to it
-                room = guards | sum((u & feed).bit_count() << shift for shift, feed in feeds)
-                fields = key & low
-                verdict = reachable[u, key] = any(
-                    (gap := target - fields) & guards == guards
-                    and (room - (gap ^ guards)) & guards == guards and (key & ~t) <= low
-                    for target, t in lifted)
-            if not verdict:
-                return
-            while not steps[idx][0] & u:
-                idx += 1
-            for add_in, rest in steps[idx][1]:
-                new = add_in & u
-                descend(idx + 1, u & rest, fam | new, plus(key, new))
-
+        # per number of undecided items: U -> [a step index at or before
+        # U's first undecided decision, {node key: family bits}]
+        levels: list = [{} for _ in range(self.proper.bit_count() + 1)]
         for _, u, fam, key in starts:
-            descend(0, u, fam, key)
-        del descend  # it refers to itself; break the cycle so this call's state goes now
-        return kept
+            levels[u.bit_count()].setdefault(u, [0, {}])[1].setdefault(key, []).append(fam)
+        for size in range(len(levels) - 1, 0, -1):
+            for u, (idx, keys) in levels[size].items():
+                if size > limit:
+                    # guards plus, per field, how many members of U could still add to it
+                    room = guards | sum((u & feed).bit_count() << shift for shift, feed in feeds)
+                    keys = {key: fams for key, fams in keys.items() if any(
+                        (gap := target - (key & low)) & guards == guards
+                        and (room - (gap ^ guards)) & guards == guards and (key & ~t) <= low
+                        for target, t in lifted)}
+                    if not keys:
+                        continue
+                while not steps[idx][0] & u:
+                    idx += 1
+                for add_in, rest in steps[idx][1]:
+                    new = add_in & u
+                    masks, fields = deltas.get(new) or deltas.setdefault(new, delta(new))
+                    child = u & rest
+                    into = levels[child.bit_count()].setdefault(child, [idx + 1, {}])[1]
+                    for k, fams in keys.items():
+                        into.setdefault((k | masks) + fields, []).extend([fam | new for fam in fams])
+            levels[size] = None
+        return {k: fams for k, fams in levels[0].get(0, (0, {}))[1].items() if self.keep(k)}
 
 
 def _leaves(steps: tuple, idx: int, undecided: int) -> Iterator[int]:
@@ -522,7 +507,8 @@ def _leaves(steps: tuple, idx: int, undecided: int) -> Iterator[int]:
     order of the leaves is fixed by steps alone: from the subset system's
     decision_steps and the whole proper set, it is the order
     enumerate_maximal_families yields.  The stack holds at most one
-    state per step, and no leaf is held once yielded.
+    state per step, and no leaf is held once yielded.  It serves
+    enumeration alone: _KeyWalk counts and collects by sweeping U.
     """
     stack = [(idx, undecided, 0)]
     while stack:
@@ -1214,7 +1200,8 @@ def verify_grid(k_values: Sequence[int], m_values: Sequence[Cap], n_max: int, *,
                 timing: bool = False) -> list[TheoremReport]:
     """Theorem verification over every admissible (n, k, m), one pass per n.
 
-    A cell named more than once is verified and reported once.
+    A cell named more than once is verified and reported once.  A grid
+    with no admissible cell is a ParameterError, not an empty report.
     """
     by_n: dict[int, list[Params]] = {}
     for k in k_values:
@@ -1222,6 +1209,8 @@ def verify_grid(k_values: Sequence[int], m_values: Sequence[Cap], n_max: int, *,
             p0 = Params(max(1, k), k, m)
             for n in range(k + p0.q, n_max + 1):
                 by_n.setdefault(n, []).append(Params(n, k, m))
+    if not by_n:
+        raise ParameterError(f"no cell of the grid is admissible (n >= k + q) with n <= {n_max}")
     reports: list[TheoremReport] = []
     for n in sorted(by_n):
         results = run_verification(

@@ -183,11 +183,7 @@ def build_removed_part(p: Params) -> SetFamily:
 
 def build_hm_shadow(p: Params) -> SetFamily:
     """(star - removed_part) together with the dual of the removed part."""
-    p.require_tail()
-    star = build_star(p.n)
-    removed = build_removed_part(p)
-    kept = star.bits & ~removed.bits
-    return SetFamily(n=p.n, bits=kept | dual(removed).bits)
+    return twist(build_star(p.n), build_removed_part(p))
 
 
 def hm_shadow_valuable(p: Params) -> SetFamily:

@@ -52,8 +52,12 @@ def test_parse_multiset_errors():
 
 
 def test_bad_headers():
-    with pytest.raises(FileFormatError):
-        read_multiset_family("4 3\n")
+    # a header Params rejects, or a member breaking k or the cap, is a
+    # FileFormatError like every other malformed file
+    for text in ("4 3\n", "-1 4 2\n", "0 4 2\n", "3 -1 2\n", "3 2 x\n", "3 2 0\n",
+                 "3 2 2\n2 1 0\n", "3 2 1\n2 0 0\n"):
+        with pytest.raises(FileFormatError):
+            read_multiset_family(text)
     with pytest.raises(FileFormatError):
         read_set_family("x\n")
     with pytest.raises(FileFormatError):
@@ -173,6 +177,13 @@ def test_cli_grid_empty_cap_list_exit_2(capsys, m):
     code, out, err = run_cli(capsys, "grid", "--k", "4", "--m", m, "--n-max", "6")
     assert (code, out) == (2, "")
     assert "empty list" in err
+
+
+def test_cli_grid_without_admissible_cell_exit_2(capsys):
+    # (4, 2) needs n >= 6
+    code, out, err = run_cli(capsys, "grid", "--k", "4", "--m", "2", "--n-max", "3")
+    assert (code, out) == (2, "")
+    assert "admissible" in err
 
 
 def test_cli_cap_exceeded_exit_2(capsys):

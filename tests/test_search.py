@@ -696,6 +696,32 @@ def test_walk_equals_leaf_by_leaf_under_every_cell(monkeypatch, n, marks):
     assert (hist, _sorted_kept(kept), orbits) == (expected_hist, _sorted_kept(expected_kept), [])
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("untested", [0, 10**6])
+def test_collection_is_independent_of_the_reach_test(monkeypatch, n, untested):
+    """The reach test only prunes: with it applied at every U (0 untested
+    pairs) and at none (10**6), the collection keeps exactly the families
+    whose key, by definition, the jobs' keep marks.  Each admissible job is
+    its own job set, so that few keys are kept and a reach test that prunes
+    too much loses families, and all of them are one more."""
+    monkeypatch.setattr(search, "_UNTESTED_PAIRS", untested)
+    every = tuple((kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS))
+    for jobs in [(job,) for job in every] + [every]:
+        windows = search._windows(jobs)
+        codec = search._key_codec(n, windows)
+
+        def keep(key):
+            return any(search._findings(job, key, windows) for job in jobs)
+        expected, kept = {}, {}
+        for bits, key in _keys_by_definition(n, windows):
+            if keep(key):
+                expected.setdefault(key, []).append(bits)
+        for key, fams in search._KeyWalk(n, codec, lambda key: keep(codec.decode(key))).histogram()[1].items():
+            kept.setdefault(codec.decode(key), []).extend(fams)  # packed keys may share a decoding
+        assert _sorted_kept(kept) == _sorted_kept(expected), jobs
+    assert expected
+
+
 def _step_orders(steps):
     """A pair system's steps in decision order, in the walk's frontier order
     and in reversed decision order; checks that the frontier order is a
