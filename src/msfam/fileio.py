@@ -127,7 +127,7 @@ def read_set_family(inp: TextIO | str) -> SetFamily:
         raise FileFormatError(f"bad header {header!r}") from None
     if n < 1:
         raise FileFormatError(f"ground set size must be at least 1, got {n}")
-    masks = []
+    rows = []
     for line in inp:
         if not line.strip():
             continue
@@ -137,10 +137,10 @@ def read_set_family(inp: TextIO | str) -> SetFamily:
             raise FileFormatError(f"bad subset line {line!r}") from None
         if len(set(elements)) != len(elements):
             raise FileFormatError(f"duplicate element in subset line {line!r}")
-        mask = 0
-        for e in elements:
-            if not 1 <= e <= n:
-                raise FileFormatError(f"element {e} outside [{n}]")
-            mask |= 1 << (e - 1)
-        masks.append(mask)
-    return SetFamily.from_masks(n, masks)
+        rows.append(elements)
+    # an element outside [n], or a member that is [n] itself, is a malformed
+    # file like any other
+    try:
+        return SetFamily.from_sets(n, rows)
+    except ParameterError as exc:
+        raise FileFormatError(str(exc)) from None

@@ -46,23 +46,25 @@ _UNTESTED_PAIRS pairs.  It takes the pairs in decision order, singletons
 first: its reach test compares layer counts, and those are fixed soonest
 there (the six-job n=7 collection, 147 families, takes about 3-4 ms against
 7-8 ms in frontier order).
-Counting the families alone uses the same walk.  Isomorphism classes are
-S_n-orbits under relabelling of [n].  Their counts come from the
-orbit-counting lemma: for each cycle type the invariant families are counted
-by the same walk over a pair system whose items are the orbits of subsets
-under the permutation, an orbit's closure being the union of its members'
-closures.  Such a system conflicts only inside one outcome (an orbit holding
-two disjoint subsets), so once those outcomes are dropped its completions
-too depend on U alone.  Achievers are grouped into classes by orbit
-closure.  An S_n-orbit is built along the stabiliser chain S_1 < S_2 < ...
-< S_n (Sims 1970; Butler, LNCS 559, 1991): the orbit under the first k
-positions goes to the first k+1 through the k+1 coset representatives
-(k k-1 ... j), each one adjacent delta swap on the image before, so a
-member costs about one swap on the family bitset.  The theorem cells of a
-pass are grouped together: each distinct orbit is closed once, through its
-least member, checked against every cell that holds it and dropped, and
-encoded once per process.  The orbit of the shadow's valuable part, which
-the uniqueness verdict and the rigidity lemma read, is closed once per pass
+Counting the families alone uses the same walk, with keys that record
+nothing.  Isomorphism classes are S_n-orbits under relabelling of [n].
+Their counts come from the orbit-counting lemma: for each cycle type the
+invariant families are counted by the same walk over a pair system whose
+items are the orbits of subsets under the permutation, an orbit's closure
+being the union of its members' closures.  One builder makes every such
+system, and the identity's, whose orbits are single subsets, is the subset
+system itself.  An orbit system conflicts only inside one outcome (an orbit
+holding two disjoint subsets), so once those outcomes are dropped its
+completions too depend on U alone.  Achievers are grouped into classes by
+orbit closure.  An S_n-orbit is built along the stabiliser chain
+S_1 < S_2 < ... < S_n (Sims 1970; Butler, LNCS 559, 1991): the orbit under
+the first k positions goes to the first k+1 through the k+1 coset
+representatives (k k-1 ... j), each one adjacent delta swap on the image
+before, so a member costs about one swap on the family bitset.  The theorem
+cells of a pass are grouped together: each distinct orbit is closed once,
+through its least member, encoded once, checked against every cell that
+holds it and dropped.  The orbit of the shadow's valuable part, which the
+uniqueness verdict and the rigidity lemma read, is closed once per pass
 too.  So the benchmark's n=6 job set closes 30 orbits: the 29 distinct
 orbits among the 59 achiever classes of its four theorem cells, and one
 shadow orbit that two theorem cells and both lemma cells share.
@@ -160,19 +162,16 @@ def _check_cap(n: int, cap_override: bool) -> None:
 # pair-implication systems
 # ---------------------------------------------------------------------------
 
-_Tables = namedtuple("_Tables", "full up down decisions decision_steps steps")
+_Tables = namedtuple("_Tables", "full up down")
 
 
 @lru_cache(maxsize=None)
 def _tables(n: int) -> _Tables:
-    """Closure bitsets over the proper non-empty subsets of [n], and the subset pair system.
+    """Closure bitsets over the proper non-empty subsets of [n].
 
     up[x] is the family bitset of x and its proper supersets short of [n],
     down[x] that of x and its non-empty subsets.  Both are transitively
     closed: a member forces exactly up[x] in, a non-member exactly down[x] out.
-    decision_steps is decisions as _KeyWalk collects them and enumeration
-    walks them (see _decision_steps), steps the same in the frontier order
-    _KeyWalk counts them in.
     """
     full = (1 << n) - 1
     singles = [1 << e for e in range(n)]
@@ -182,21 +181,54 @@ def _tables(n: int) -> _Tables:
     up = [0] * (full + 1)  # up[full] stays empty: [n] itself is never a member
     for x in range(full - 1, 0, -1):
         up[x] = reduce(or_, (up[x | b] for b in singles if not x & b), 1 << x)
-
-    def side(x: int) -> tuple[int, int]:
-        return x.bit_count(), x
-
-    # one decision per complementary pair: the smaller side, ties by mask value
-    reps = sorted((x for x in range(1, full) if side(x) < side(full ^ x)), key=side)
-    decisions = tuple((1 << x, ((up[x], down[full ^ x]), (up[full ^ x], down[x]))) for x in reps)
-    decision_steps = _decision_steps(n, decisions)
-    return _Tables(full=full, up=tuple(up), down=tuple(down), decisions=decisions,
-                   decision_steps=decision_steps, steps=_frontier_order(decision_steps))
+    return _Tables(full=full, up=tuple(up), down=tuple(down))
 
 
-def _walk_steps(n: int, decisions) -> tuple:
-    """A pair system as _KeyWalk walks it, in the order of _frontier_order."""
-    return _frontier_order(_decision_steps(n, decisions))
+def _orbit_system(n: int, perm: Sequence[int]):
+    """The pair system of the families invariant under perm; None if there are none.
+
+    Its items are the orbits of subsets under perm.  Each orbit and its
+    complementary orbit form one pair, decided through their least member
+    by (size, mask), the pairs in that order.  An orbit's closure is the
+    union of its members' closures, which is again a union of orbits.  At
+    the identity every orbit is one subset, so this is the subset system:
+    one decision per complementary pair, through its smaller side.
+    """
+    t = _tables(n)
+    claimed = 0
+    decisions = []
+    for x in sorted(range(1, t.full), key=lambda x: (x.bit_count(), x)):
+        if claimed >> x & 1:
+            continue
+        # the orbit of x and, through complements, its complementary orbit
+        bits = comp_bits = up = down = comp_up = comp_down = 0
+        y = x
+        while not bits >> y & 1:
+            c = t.full ^ y
+            bits |= 1 << y
+            comp_bits |= 1 << c
+            up |= t.up[y]
+            down |= t.down[y]
+            comp_up |= t.up[c]
+            comp_down |= t.down[c]
+            y = _permute_mask(y, perm, n)
+        if bits & comp_bits:
+            return None  # a self-complementary orbit blocks the pair rule
+        claimed |= bits | comp_bits
+        decisions.append((1 << x, ((up, comp_down), (comp_up, down))))
+    return tuple(decisions)
+
+
+@lru_cache(maxsize=None)
+def _walk_steps(n: int, perm: tuple[int, ...]) -> tuple | None:
+    """The orbit system of perm as _KeyWalk walks it: its steps in decision
+    order (see _decision_steps) and the same in the order of
+    _frontier_order, or None if no family is invariant under perm."""
+    decisions = _orbit_system(n, perm)
+    if decisions is None:
+        return None
+    steps = _decision_steps(n, decisions)
+    return steps, _frontier_order(steps)
 
 
 def _decision_steps(n: int, decisions) -> tuple:
@@ -268,13 +300,15 @@ class _KeyCodec:
     possible value, which the constructor checks: the contributions of all
     subsets together must decode to exactly those maxima.  One zero guard
     bit sits above each field, so that fields can be compared all at once
-    by subtraction (see _KeyWalk._collect).
+    by subtraction (see _KeyWalk._collect).  The counts serve the windows
+    alone, so a codec with no windows packs no field and no mask: its only
+    key is 0, and a walk with it counts the families and nothing else.
     """
 
     def __init__(self, n: int, windows: tuple):
         full = (1 << n) - 1
         self.n, self.full, self.windows = n, full, windows
-        self.layers = range(1, (n + 1) // 2)
+        self.layers = range(1, (n + 1) // 2 if windows else 1)
         maxima = [comb(n, l) for l in self.layers]
         fields, width, self.guards = [], 0, 0
         for most in maxima:
@@ -298,7 +332,8 @@ class _KeyCodec:
             raise InvariantError(f"a packed key field at n={n} is too narrow for its count")
 
     def decode(self, key: int) -> tuple:
-        """The key as (layer counts 0..n, window flags)."""
+        """The key as (layer counts 0..n, window flags); with no windows
+        there are no flags and the counts are not the family's."""
         n, full, shift = self.n, self.full, self.cover_shift
         counts = [0] * (n + 1)
         for l, (at, mask) in zip(self.layers, self.fields):
@@ -317,15 +352,13 @@ def _key_codec(n: int, windows: tuple) -> _KeyCodec:
 
 class _KeyWalk:
     """The packed keys of the maximal families on [n], counted, and the
-    bits of the families under keys that keep marks.  With codec
-    None every key is 0, so the histogram holds just the leaf count.  steps
-    is the pair system walked (see _walk_steps), the subset system by
-    default; the orbit systems are walked the same way.  The walk takes
-    the pairs in steps order, whatever it is, and gives the same histogram
-    and kept families in any order; _walk_steps puts them in frontier order.
-    The subset system by default is counted in frontier order and collected
-    in decision order (collect_steps), where the reach test below prunes
-    sooner; a steps given serves both.
+    bits of the families under keys that keep marks.  steps is the pair
+    system walked, as _walk_steps gives it: (decision order, frontier
+    order), the identity's by default, which is the subset system; an
+    orbit system is walked the same way.  The walk counts in frontier order
+    and collects in decision order (collect_steps), where the reach test
+    below prunes sooner; it gives the same histogram and kept families in
+    any order of the steps.
 
     The walk starts from a list of start states (step index, U, family
     bits, key), the root [(0, proper, 0, 0)] by default.  split gives
@@ -358,34 +391,27 @@ class _KeyWalk:
     pairs go untested, and at U = 0 keep picks the kept keys.
     """
 
-    def __init__(self, n: int, codec: _KeyCodec | None = None,
+    def __init__(self, n: int, codec: _KeyCodec,
                  keep: Callable[[int], bool] = lambda key: False, steps: tuple | None = None):
-        t = _tables(n)
-        if steps is None:
-            self.steps, self.collect_steps = t.steps, t.decision_steps
-        else:
-            self.steps = self.collect_steps = steps
-        self.proper, self.codec, self.keep = (1 << t.full) - 2, codec, keep
+        self.collect_steps, self.steps = _walk_steps(n, tuple(range(n))) if steps is None else steps
+        self.proper, self.codec, self.keep = (1 << codec.full) - 2, codec, keep
         self.root = [(0, self.proper, 0, 0)]
-        self.low = self.guards = 0
-        self.feeds: list[tuple[int, int]] = []  # per field: (its shift, the items that add to it)
-        if codec is not None:
-            self.low, self.guards = codec.low, codec.guards
-            self.feeds = [(shift, sum(1 << x for x in range(1, t.full) if codec.add[x] >> shift & mask))
-                          for shift, mask in codec.fields]
+        self.low, self.guards = codec.low, codec.guards
+        # per field: (its shift, the items that add to it)
+        self.feeds = [(shift, sum(1 << x for x in range(1, codec.full) if codec.add[x] >> shift & mask))
+                      for shift, mask in codec.fields]
         # a member set taken in at once -> its key as (cover masks, fields)
         self.deltas: dict[int, tuple[int, int]] = {}
 
     def _delta(self, new: int) -> tuple[int, int]:
+        add, cov = self.codec.add, self.codec.cov
         masks = fields = 0
-        if self.codec is not None:
-            add, cov = self.codec.add, self.codec.cov
-            while new:
-                bit = new & -new
-                x = bit.bit_length() - 1
-                masks |= cov[x]
-                fields += add[x]
-                new ^= bit
+        while new:
+            bit = new & -new
+            x = bit.bit_length() - 1
+            masks |= cov[x]
+            fields += add[x]
+            new ^= bit
         return masks, fields
 
     def _plus(self, key: int, new: int) -> int:
@@ -504,8 +530,8 @@ def _leaves(steps: tuple, idx: int, undecided: int) -> Iterator[int]:
     undecided.  Each state is (step index, U, the members taken
     in so far); a leaf, U = 0, yields them.  Outcomes are taken in their
     listed order, the first outcome's subtree before the second's, so the
-    order of the leaves is fixed by steps alone: from the subset system's
-    decision_steps and the whole proper set, it is the order
+    order of the leaves is fixed by steps alone: from the identity's
+    decision order and the whole proper set, it is the order
     enumerate_maximal_families yields.  The stack holds at most one
     state per step, and no leaf is held once yielded.  It serves
     enumeration alone: _KeyWalk counts and collects by sweeping U.
@@ -524,7 +550,7 @@ def _leaves(steps: tuple, idx: int, undecided: int) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
-# relabellings: orbit systems for invariant-family counting, orbit closure
+# relabellings: cycle types for invariant-family counting, orbit closure
 # ---------------------------------------------------------------------------
 
 def _cycle_type_reps(n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -556,38 +582,6 @@ def _cycle_type_reps(n: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _orbit_system(n: int, perm: Sequence[int]):
-    """The pair system of the families invariant under perm; None if there are none.
-
-    Its items are the orbits of subsets under perm, each decided through its
-    least member.  An orbit's closure is the union of its members' closures,
-    which is again a union of orbits.
-    """
-    t = _tables(n)
-    claimed = 0
-    decisions = []
-    for x in range(1, t.full):
-        if claimed >> x & 1:
-            continue
-        # the orbit of x and, through complements, its complementary orbit
-        bits = comp_bits = up = down = comp_up = comp_down = 0
-        y = x
-        while not bits >> y & 1:
-            c = t.full ^ y
-            bits |= 1 << y
-            comp_bits |= 1 << c
-            up |= t.up[y]
-            down |= t.down[y]
-            comp_up |= t.up[c]
-            comp_down |= t.down[c]
-            y = _permute_mask(y, perm, n)
-        if bits & comp_bits:
-            return None  # a self-complementary orbit blocks the pair rule
-        claimed |= bits | comp_bits
-        decisions.append((1 << x, ((up, comp_down), (comp_up, down))))
-    return tuple(decisions)
-
-
 def _nonidentity_types(n: int) -> list[tuple[tuple[int, ...], int]]:
     """The non-identity cycle types as (permutation, class size), those with
     the most cycles first; the transposition, whose invariant families are
@@ -597,15 +591,15 @@ def _nonidentity_types(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _cycle_type_totals(n: int, windows: Sequence[tuple[int, int]],
-                       perm: Sequence[int], class_size: int) -> list[int]:
+                       perm: tuple[int, ...], class_size: int) -> list[int]:
     """class_size times the number of families invariant under perm: first
     all of them, then those qualifying for each window."""
     totals = [0] * (1 + len(windows))
-    system = _orbit_system(n, perm)
-    if system is None:
+    steps = _walk_steps(n, perm)
+    if steps is None:
         return totals
     codec = _key_codec(n, tuple(windows))
-    hist = _KeyWalk(n, codec, steps=_walk_steps(n, system)).histogram()[0]
+    hist = _KeyWalk(n, codec, steps=steps).histogram()[0]
     for key, count in hist.items():
         for i, ok in enumerate((True, *codec.decode(key)[1])):
             if ok:
@@ -625,15 +619,16 @@ def _nonidentity_sum(totals: Iterable[list[int]]) -> list[int]:
 def count_maximal_families(n: int, cap_override: bool = False) -> int:
     """Number of maximal intersecting families on [n], counted over undecided sets."""
     _check_cap(n, cap_override)
-    return _KeyWalk(n).histogram()[0][0]
+    return _KeyWalk(n, _key_codec(n, ())).histogram()[0][0]
 
 
 def count_iso_classes(n: int, cap_override: bool = False) -> int:
-    """Number of isomorphism classes of maximal intersecting families on [n]."""
-    identity = count_maximal_families(n, cap_override)
-    nonidentity = _nonidentity_sum(_cycle_type_totals(n, (), *cycle_type)
-                                   for cycle_type in _nonidentity_types(n))
-    return _orbit_count(n, identity + nonidentity[0])
+    """Number of isomorphism classes of maximal intersecting families on [n],
+    by the orbit-counting lemma over every cycle type, the identity's
+    class of size 1 included."""
+    _check_cap(n, cap_override)
+    return _orbit_count(n, sum(_cycle_type_totals(n, (), *cycle_type)[0]
+                               for cycle_type in _cycle_type_reps(n)))
 
 
 def _orbit_count(n: int, burnside_total: int) -> int:
@@ -665,8 +660,8 @@ def enumerate_maximal_families(n: int, up_to_iso: bool = False,
     asked for.
     """
     _check_cap(n, cap_override)
-    t = _tables(n)
-    return _stream(n, _leaves(t.decision_steps, 0, (1 << t.full) - 2), up_to_iso)
+    return _stream(n, _leaves(_walk_steps(n, tuple(range(n)))[0], 0, (1 << ((1 << n) - 1)) - 2),
+                   up_to_iso)
 
 
 def _stream(n: int, leaves: Iterator[int], up_to_iso: bool) -> Iterator[SetFamily]:
@@ -866,8 +861,8 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     jobs = tuple(jobs)
     windows = _windows(jobs)
     types = _nonidentity_types(n) if windows else []
-    # the tables and the codec are built here, so that every forked worker
-    # inherits them instead of building its own
+    # the subset system's steps and the codec are built here, so that every
+    # forked worker inherits them instead of building its own
     starts = _KeyWalk(n, _key_codec(n, windows)).split(workers)
     blocks = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]
               for i in range(workers)]
@@ -951,7 +946,8 @@ def _achiever_classes(n: int, cells: Sequence[Sequence[int]]
     under relabelling, so a cell's achievers must be a union of orbits.  An
     orbit is closed when the first cell that holds it reaches its least
     member, checked against that cell and every later one holding the
-    member, and dropped: each distinct orbit is closed once.
+    member, and dropped: each distinct orbit is closed once and encoded
+    once, through its least member.
     """
     unclaimed = [set(cell) for cell in cells]
     classes: list[list] = [[] for _ in cells]
@@ -960,26 +956,18 @@ def _achiever_classes(n: int, cells: Sequence[Sequence[int]]
             if bits not in own:
                 continue
             orbit = _orbit(n, bits)
+            least = SetFamily(n=n, bits=bits)
+            encoding = canonical_set_family(least)
             for rest, out in zip(unclaimed[i:], classes[i:]):
                 if bits not in rest:
                     continue
                 if not orbit <= rest:
                     raise InvariantError(f"a relabelling of achiever {bits:#x} is not an achiever")
                 rest -= orbit
-                out.append((SetFamily(n=n, bits=bits), len(orbit), _orbit_encoding(n, bits)))
+                out.append((least, len(orbit), encoding))
     for out in classes:
         out.sort(key=lambda item: item[2])
     return classes
-
-
-@lru_cache(maxsize=None)
-def _orbit_encoding(n: int, least: int) -> tuple:
-    """The canonical encoding of the orbit whose least member is least.
-
-    An encoding is invariant under relabelling, so one per orbit serves
-    every theorem cell whose achievers hold that orbit.
-    """
-    return canonical_set_family(SetFamily(n=n, bits=least))
 
 
 def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,

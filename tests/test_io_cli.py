@@ -64,6 +64,9 @@ def test_bad_headers():
         read_set_family("-1\n")
     with pytest.raises(FileFormatError):
         read_set_family("0\n")
+    # [n] itself is no member of a subset family
+    with pytest.raises(FileFormatError):
+        read_set_family("3\n1 2 3\n")
 
 
 def test_set_family_roundtrip():

@@ -142,9 +142,7 @@ def test_leaves_stream_in_the_oracles_order():
     systems = 0
     for n in range(2, 7):
         proper = (1 << ((1 << n) - 1)) - 2
-        candidates = [search._tables(n).decisions]
-        candidates += [search._orbit_system(n, perm) for perm, _ in search._nonidentity_types(n)]
-        for system in candidates:
+        for system in [search._orbit_system(n, perm) for perm, _ in search._cycle_type_reps(n)]:
             if system is None:
                 continue
             leaves = list(search._leaves(search._decision_steps(n, system), 0, proper))
@@ -170,7 +168,7 @@ def test_non_integer_n_rejected(n):
 
 def test_up_to_iso_yields_first_member_of_each_class_n6():
     seen, expected = set(), []
-    for bits in _rejected_outcomes(search._tables(6).decisions)[0]:
+    for bits in _rejected_outcomes(search._orbit_system(6, tuple(range(6))))[0]:
         enc = canonical_set_family(SetFamily(n=6, bits=bits))
         if enc not in seen:
             seen.add(enc)
@@ -223,29 +221,25 @@ def test_orbit_classes_match_canonical_grouping(n, k, m_key):
         assert fam.bits == min(search._orbit(n, fam.bits))
 
 
-def test_orbit_encoding_cache_is_exact_every_n6_cell(monkeypatch):
+def test_each_orbit_encoded_once_every_n6_cell(monkeypatch):
+    """One _achiever_classes call over every admissible n=6 cell encodes
+    each distinct orbit once, through its least member, and gives each
+    cell the classes it gets alone."""
     jobs = [(search.THEOREM, p) for p in _admissible_cells(6)]
     hist, kept, _ = search._run_pass(6, jobs, 1)
     windows = search._windows(jobs)
     cells = [search._tally(job, hist, kept, windows)[1][search.ACHIEVER] for job in jobs]
     assert all(type(bits) is int for cell in cells for bits in cell)
-    cold = []
-    for achievers in cells:
-        search._orbit_encoding.cache_clear()
-        cold += search._achiever_classes(6, [achievers])
+    alone = [classes for achievers in cells for classes in search._achiever_classes(6, [achievers])]
     encoded = []
     original = search.canonical_set_family
     monkeypatch.setattr(search, "canonical_set_family",
                         lambda fam: encoded.append(fam.bits) or original(fam))
-    search._orbit_encoding.cache_clear()
-    # the cache stays warm from one cell to the next
-    for achievers, expected in zip(cells, cold):
-        assert search._achiever_classes(6, [achievers]) == [expected]
-        assert search._achiever_classes(6, [achievers]) == [expected]
-    assert search._orbit_encoding.cache_info().hits > 0
-    # each orbit is encoded once, through its least member
-    reps = {fam.bits for classes in cold for fam, _, _ in classes}
+    assert search._achiever_classes(6, cells) == alone
+    reps = {fam.bits for classes in alone for fam, _, _ in classes}
     assert sorted(encoded) == sorted(reps)
+    assert all(bits == min(search._orbit(6, bits)) for bits in encoded)
+    assert len(reps) < sum(map(len, alone))  # some orbit lies in more than one cell
 
 
 def test_achiever_classes_reject_a_broken_orbit():
@@ -692,7 +686,7 @@ def test_walk_equals_leaf_by_leaf_under_every_cell(monkeypatch, n, marks):
     if marks != "jobs":
         monkeypatch.setattr(search, "_findings",
                             lambda job, key, windows: [("kept",)] if keep(key) else [])
-    hist, kept, orbits = search._share(n, jobs, search._KeyWalk(n).root, [])
+    hist, kept, orbits = search._share(n, jobs, search._KeyWalk(n, search._key_codec(n, ())).root, [])
     assert (hist, _sorted_kept(kept), orbits) == (expected_hist, _sorted_kept(expected_kept), [])
 
 
@@ -744,15 +738,14 @@ def test_walk_is_independent_of_the_step_order(n):
 
     def keep(key):
         return any(search._findings(job, codec.decode(key), windows) for job in jobs)
-    steps = search._decision_steps(n, search._tables(n).decisions)
+    steps = search._decision_steps(n, search._orbit_system(n, tuple(range(n))))
     orders = _step_orders(steps)
-    assert search._tables(n).steps == orders[1]
-    assert search._tables(n).decision_steps == steps
+    assert search._walk_steps(n, tuple(range(n))) == (steps, orders[1])
     if n >= 4:
         assert orders[1] != steps  # the orders really differ
     results = []
     for order in orders:
-        hist, kept = search._KeyWalk(n, codec, keep, steps=order).histogram()
+        hist, kept = search._KeyWalk(n, codec, keep, steps=(order, order)).histogram()
         results.append((hist, _sorted_kept(kept)))
     # by default the walk counts in frontier order and collects in decision order
     walk = search._KeyWalk(n, codec, keep)
@@ -786,9 +779,8 @@ def _frontier_order_reference(steps):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_frontier_order_equals_its_reference(n):
     """The subset system and every orbit system: the same order, tie for tie."""
-    systems = [search._tables(n).decisions]
-    systems += [system for perm, _ in search._nonidentity_types(n)
-                for system in [search._orbit_system(n, perm)] if system is not None]
+    systems = [system for perm, _ in search._cycle_type_reps(n)
+               for system in [search._orbit_system(n, perm)] if system is not None]
     for system in systems:
         steps = search._decision_steps(n, system)
         assert search._frontier_order(steps) == _frontier_order_reference(steps)
@@ -808,7 +800,7 @@ def test_orbit_walk_is_independent_of_the_step_order(n):
             continue
         results = []
         for order in _step_orders(search._decision_steps(n, system)):
-            hist, kept = search._KeyWalk(n, codec, lambda key: True, steps=order).histogram()
+            hist, kept = search._KeyWalk(n, codec, lambda key: True, steps=(order, order)).histogram()
             results.append((hist, _sorted_kept(kept)))
         assert results[0] == results[1] == results[2], perm
         walked += 1
@@ -846,7 +838,7 @@ def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
     [(pid, block, types, families)] = shares
     assert pid == caller and types == []
     # the second child of the root: (step index, U, family bits) without the key
-    assert len(block) == 1 and block[0][:3] == search._KeyWalk(n).split(2)[1][:3]
+    assert len(block) == 1 and block[0][:3] == search._KeyWalk(n, search._key_codec(n, ())).split(2)[1][:3]
     assert 0 < families < sum(serial_hist.values())
     _assert_no_child_left()
 
@@ -890,7 +882,7 @@ def test_start_states_partition_the_tree(n):
     histograms add up to the root's."""
     walk = search._KeyWalk(n, _all_keys_codec(n), lambda key: True)
     root_hist, root_kept = walk.histogram()
-    leaves = sorted(_rejected_outcomes(search._tables(n).decisions)[0])
+    leaves = sorted(_rejected_outcomes(search._orbit_system(n, tuple(range(n))))[0])
     assert sorted(fam for fams in root_kept.values() for fam in fams) == leaves
     sizes = []
     for parts in (2, 4, 8):
@@ -907,7 +899,7 @@ def test_start_states_partition_the_tree(n):
         assert hist == root_hist, parts
     assert sizes == [2, 4, 8]  # depths 1 to 3: no leaf that shallow for n >= 4
     # many start states walked as one block, some sharing a U, merge as paths do
-    for block_walk in (walk, search._KeyWalk(n)):
+    for block_walk in (walk, search._KeyWalk(n, search._key_codec(n, ()))):
         starts = block_walk.split(64)
         assert max(Counter(u for _, u, _, _ in starts).values()) > 1
         hist, kept = block_walk.histogram(starts)
@@ -921,7 +913,7 @@ def test_split_beyond_the_leaves_terminates(n):
     """More processes than leaves: the split stops at the leaves, some
     processes get no start state, and the reports are those of one worker."""
     leaves = MAXIMAL_COUNTS[n]
-    starts = search._KeyWalk(n).split(8)
+    starts = search._KeyWalk(n, search._key_codec(n, ())).split(8)
     assert len(starts) == leaves and not any(u for _, u, _, _ in starts)
     blobs = [_every_cell_blob(n, workers) for workers in (1, 2, 3, 4)]
     assert blobs[0] and blobs[0] == blobs[1] == blobs[2] == blobs[3]
@@ -1159,7 +1151,7 @@ def test_orbit_systems_conflict_only_inside_one_outcome(n):
         assert all(add_in & add_out for add_in, add_out in rejected), perm
         conflicts += len(rejected)
         # so the walk, which never looks at the state, completes to the oracle's leaves
-        assert sorted(search._leaves(search._walk_steps(n, system), 0, proper)) == sorted(leaves), perm
+        assert sorted(search._leaves(search._walk_steps(n, perm)[1], 0, proper)) == sorted(leaves), perm
     assert conflicts or n < 4
 
 
@@ -1194,7 +1186,31 @@ def test_key_codec_fields_fit_at_n9():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_count_maximal_families_from_the_memo(n):
-    assert count_maximal_families(n) == {**MAXIMAL_COUNTS, 7: 1422564}[n]
+    """Counted with the codec of no window, which packs no field and no
+    cover mask, so that the walk's only key is 0."""
+    codec = search._key_codec(n, ())
+    assert (codec.fields, codec.low, codec.guards, codec.cover_shift) == ([], 0, 0, {})
+    assert not any(codec.add) and not any(codec.cov)
+    total = {**MAXIMAL_COUNTS, 7: 1422564}[n]
+    assert search._KeyWalk(n, codec).histogram() == (Counter({0: total}), {})
+    assert count_maximal_families(n) == total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_identity_orbit_system_is_the_subset_system(n):
+    """The subset system by its own rule: one decision per complementary
+    pair, through its smaller side by (size, mask), the pairs in that
+    order, each outcome the closures it takes in and leaves out."""
+    full = (1 << n) - 1
+    proper = range(1, full)
+    up = {x: sum(1 << y for y in proper if y & x == x) for x in proper}
+    down = {x: sum(1 << y for y in proper if y & x == y) for x in proper}
+
+    def side(x):
+        return x.bit_count(), x
+    reps = sorted((x for x in proper if side(x) < side(full ^ x)), key=side)
+    expected = tuple((1 << x, ((up[x], down[full ^ x]), (up[full ^ x], down[x]))) for x in reps)
+    assert search._orbit_system(n, tuple(range(n))) == expected
 
 
 def _patch_constants(monkeypatch, change):

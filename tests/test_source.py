@@ -1,5 +1,5 @@
 """Source rules: invariants in src/msfam raise real errors, never `assert`,
-which `python -O` strips."""
+which `python -O` strips; and every top-level import is read in its module."""
 
 import ast
 from pathlib import Path
@@ -21,3 +21,34 @@ def test_sources_hold_no_assert():
 
 def test_assert_checker_flags_an_assert():
     assert assert_lines("assert n >= 1, 'n must be positive'\n") == [1]
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names that top-level imports of source bind and source never
+    reads, sorted.  __future__ imports and imports on a line marked
+    `# noqa: F401` are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_sources_read_every_import():
+    """__init__.py is exempt: its imports are the package's re-exports."""
+    found = {path.name: names for path in SOURCES
+             if path.name != "__init__.py" and (names := unread_imports(path.read_text()))}
+    assert found == {}
+
+
+def test_import_checker_flags_an_unread_import():
+    source = ("from __future__ import annotations\nimport os\nimport os.path as osp\n"
+              "import sys\nfrom math import comb, factorial\n"
+              "from operator import or_  # noqa: F401\nprint(sys.argv, comb)\n")
+    assert unread_imports(source) == ["factorial", "os", "osp"]
