@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .params import Cap, frozen, is_unbounded, q_of
+from .params import Cap, frozen, is_unbounded, q_of, require_cap
 
 __all__ = ["CoeffTable", "CoeffPropertyReport", "coeff", "coeff_table", "check_coeff_properties", "q_of"]
 
@@ -58,6 +58,7 @@ def _table_values(k: int, m_key: int | None) -> tuple[int, ...]:
 def coeff_table(k: int, m: Cap) -> CoeffTable:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    require_cap(m)
     m_key = None if is_unbounded(m) else m
     return CoeffTable(k=k, m=m, values=_table_values(k, m_key))
 

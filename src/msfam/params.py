@@ -121,10 +121,17 @@ def cap_text(m: Cap) -> str:
     return "inf" if is_unbounded(m) else str(m)
 
 
+def require_cap(m: Cap) -> None:
+    """Raise ParameterError unless m is UNBOUNDED or a positive integer."""
+    if not is_unbounded(m) and (not isinstance(m, int) or m < 1):
+        raise ParameterError(f"m must be a positive integer or UNBOUNDED, got {m!r}")
+
+
 def q_of(k: int, m: Cap) -> int:
     """Least support size of a k-uniform multiset under cap m: ceil(k/m), 1 for inf."""
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
+    require_cap(m)
     if is_unbounded(m):
         return 1
     return -(-k // m)
@@ -148,9 +155,7 @@ class Params:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         if not isinstance(self.k, int) or self.k < 1:
             raise ParameterError(f"k must be a positive integer, got {self.k!r}")
-        if not is_unbounded(self.m):
-            if not isinstance(self.m, int) or self.m < 1:
-                raise ParameterError(f"m must be a positive integer or UNBOUNDED, got {self.m!r}")
+        require_cap(self.m)
 
     @property
     def unbounded(self) -> bool:

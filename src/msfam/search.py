@@ -85,9 +85,13 @@ meet 3,658 and 9,283 U against 11,740 for the whole tree, at n=8 2.34M and
 2.28M against 3.86M.  BENCH_split.json holds the (8,4,2) theorem and lemma
 pass at two workers against a caller that walked the whole tree while a
 worker only counted orbits, with the peak of each process.
-All per-family collections are sorted before reporting, and violation lists
-are cut to their first entries only after that sort, so report bytes do not
-depend on the worker count.
+A violation is built once per key, as its report entry without the family,
+and paired with each family kept under the key.  One function, _violations,
+sorts a per-family violation list by family bits, cuts it to its first
+_VIOLATION_CAP entries and attaches each family; achievers are sorted before
+their orbits are closed.  So every per-family collection is sorted before
+reporting and cut only after that sort, and report bytes do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -754,16 +758,18 @@ def _windows(jobs: Sequence[tuple[str, Params]]) -> tuple:
     return tuple(dict.fromkeys((p.q, p.k) for _, p in jobs))
 
 
-def _findings(job: tuple[str, Params], key: tuple, windows: tuple) -> list[tuple] | None:
+def _findings(job: tuple[str, Params], key: tuple, windows: tuple) -> list | None:
     """What a family with this key means to one job.
 
     None when the family does not qualify for the job's window; otherwise
-    its findings as (name, *details), empty when it is neither an achiever,
-    a violation nor a rigidity candidate.  The key is (layer counts 0..n,
-    window flags), one flag per entry of windows.  A lemma job has no
-    removed-layer finding: its window qualifies, so some k-member avoids
-    element 1, and by the pair rule the complement of that member, an
-    (n-k)-subset in the star's layer n-k, is no member.
+    its findings, empty when it is neither an achiever, a violation nor a
+    rigidity candidate.  An achiever or a rigidity candidate is its bare
+    marker, ACHIEVER or RIGIDITY_CANDIDATE; a violation is its report entry
+    without the family, one dict shared by every family under the key.  The
+    key is (layer counts 0..n, window flags), one flag per entry of windows.
+    A lemma job has no removed-layer finding: its window qualifies, so some
+    k-member avoids element 1, and by the pair rule the complement of that
+    member, an (n-k)-subset in the star's layer n-k, is no member.
     """
     kind, p = job
     counts, flags = key
@@ -773,17 +779,15 @@ def _findings(job: tuple[str, Params], key: tuple, windows: tuple) -> list[tuple
     if kind == THEOREM:
         size = sum(c.coeffs[l] * counts[l] for l in range(p.q, p.k + 1))
         if size == c.bound:
-            return [(ACHIEVER,)]
-        return [("bound-exceeded", size)] if size > c.bound else []
+            return [ACHIEVER]
+        return [{"type": "bound-exceeded", "size": size, "bound": c.bound}] if size > c.bound else []
     v = c.v_sizes
-    found = [("layer-dominance-failed", l, counts[l])
+    found = [{"type": "layer-dominance-failed", "layer": l, "count": counts[l], "shadow_layer_size": v[l]}
              for l in range(2, p.w + 1) if counts[l] > v[l]]
     if v[p.q] and counts[p.q] == v[p.q]:
         bad = [l for l in range(p.q, p.k + 1) if counts[l] != v[l]]
-        if bad:
-            found.append(("valuable-layer-mismatch", bad[0], counts[bad[0]], v[bad[0]]))
-        else:
-            found.append((RIGIDITY_CANDIDATE,))
+        found.append({"type": "valuable-layer-mismatch", "layer": bad[0], "count": counts[bad[0]],
+                      "shadow_layer_size": v[bad[0]]} if bad else RIGIDITY_CANDIDATE)
     return found
 
 
@@ -913,9 +917,10 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
 
 def _tally(job: tuple[str, Params], hist: Counter, kept: dict, windows: tuple
            ) -> tuple[int, dict[str, list]]:
-    """The families one job checked, and its findings by name, sorted: the
-    family bitsets of a finding without details (an achiever, say), else
-    (bits, *details)."""
+    """The families one job checked, and its findings by name: under a
+    marker its family bitsets, sorted; under a violation type the (family
+    bits, entry) pair of each family, unsorted (_violations sorts them).
+    Every family under one key shares that key's entry."""
     checked = 0
     found: dict[str, list] = defaultdict(list)
     for key, count in hist.items():
@@ -923,10 +928,13 @@ def _tally(job: tuple[str, Params], hist: Counter, kept: dict, windows: tuple
         if findings is None:
             continue
         checked += count
-        for name, *details in findings:
-            found[name] += [(bits, *details) for bits in kept[key]] if details else kept[key]
-    for entries in found.values():
-        entries.sort()
+        for finding in findings:
+            if finding in (ACHIEVER, RIGIDITY_CANDIDATE):
+                found[finding] += kept[key]
+            else:
+                found[finding["type"]] += [(bits, finding) for bits in kept[key]]
+    for marker in (ACHIEVER, RIGIDITY_CANDIDATE):
+        found[marker].sort()
     return checked, found
 
 
@@ -934,8 +942,14 @@ def _tally(job: tuple[str, Params], hist: Counter, kept: dict, windows: tuple
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _family_json(bits: int, n: int) -> list[list[int]]:
-    return [list(m) for m in SetFamily(n=n, bits=bits).member_sets()]
+def _violations(n: int, pairs: list[tuple[int, dict]]) -> list[dict]:
+    """The report entries of one per-family violation list: the (family
+    bits, entry) pairs sorted by family bits, stably, so that one family's
+    entries keep their order, cut to the first _VIOLATION_CAP, and each
+    entry copied with its family attached.  The entry itself is shared by
+    every family under its key and is never changed."""
+    return [{**entry, "family": [list(m) for m in SetFamily(n=n, bits=bits).member_sets()]}
+            for bits, entry in sorted(pairs, key=lambda pair: pair[0])[:_VIOLATION_CAP]]
 
 
 def _achiever_classes(n: int, cells: Sequence[Sequence[int]]
@@ -976,10 +990,7 @@ def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,
     """The theorem report of one cell, from its achiever classes and its shadow's orbit."""
     n = p.n
     bound = _job_constants(p).bound
-    violations = [
-        {"type": "bound-exceeded", "size": size, "bound": bound, "family": _family_json(bits, n)}
-        for bits, size in found["bound-exceeded"][:_VIOLATION_CAP]
-    ]
+    violations = _violations(n, found["bound-exceeded"])
     if uniqueness_condition(p):
         # the multiset family is fixed by its valuable part, so uniqueness
         # counts the S_n-orbits of the achievers' valuable parts
@@ -989,16 +1000,9 @@ def _finalize_theorem(p: Params, checked: int, found: dict, families_total: int,
                                for vp in valuable})
         verdict = "unique-iso" if valuable_orbits == 1 else "multiple-iso"
         if valuable_orbits != 1:
-            violations.append({
-                "type": "uniqueness-failed",
-                "achiever_classes": valuable_orbits,
-            })
-        for (_, _, enc), vp in zip(classes, valuable):
-            if vp not in shadow:
-                violations.append({
-                    "type": "achiever-not-shadow",
-                    "family": [list(m) for m in enc],
-                })
+            violations.append({"type": "uniqueness-failed", "achiever_classes": valuable_orbits})
+        violations += [{"type": "achiever-not-shadow", "family": [list(m) for m in enc]}
+                       for (_, _, enc), vp in zip(classes, valuable) if vp not in shadow]
     else:
         verdict = "not-applicable"
     return TheoremReport(
@@ -1020,26 +1024,13 @@ def _finalize_lemmas(p: Params, checked: int, found: dict, families_total: int,
                      shadow_orbit: Callable[[Params], set[int]]) -> dict[str, LemmaReport]:
     n = p.n
     v_sizes = _job_constants(p).v_sizes
-    dominance = [
-        {
-            "type": "layer-dominance-failed", "layer": l, "count": c,
-            "shadow_layer_size": v_sizes[l],
-            "family": _family_json(bits, n),
-        }
-        for bits, l, c in found["layer-dominance-failed"][:_VIOLATION_CAP]
-    ]
-    rigid = [
-        {
-            "type": "valuable-layer-mismatch", "layer": l, "count": got,
-            "shadow_layer_size": want, "family": _family_json(bits, n),
-        }
-        for bits, l, got, want in found["valuable-layer-mismatch"][:_VIOLATION_CAP]
-    ]
     shadow = shadow_orbit(p)
     candidates = found[RIGIDITY_CANDIDATE]
-    for bits in candidates:
-        if valuable_part(SetFamily(n=n, bits=bits), p).bits not in shadow:
-            rigid.append({"type": "valuable-part-not-isomorphic", "family": _family_json(bits, n)})
+    not_shadow = {"type": "valuable-part-not-isomorphic"}
+    dominance = _violations(n, found["layer-dominance-failed"])
+    rigid = _violations(n, found["valuable-layer-mismatch"]) + _violations(n, [
+        (bits, not_shadow) for bits in candidates
+        if valuable_part(SetFamily(n=n, bits=bits), p).bits not in shadow])
     notices = []
     if v_sizes[p.q] == 0:
         notices.append(

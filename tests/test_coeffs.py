@@ -2,7 +2,7 @@
 
 import pytest
 
-from msfam import UNBOUNDED, check_coeff_properties, coeff, coeff_table, q_of
+from msfam import UNBOUNDED, ParameterError, check_coeff_properties, coeff, coeff_table, q_of
 
 from conftest import brute_compositions
 
@@ -48,6 +48,16 @@ def test_q_of():
     assert q_of(4, UNBOUNDED) == 1
     assert q_of(4, 7) == 1
     assert q_of(6, 3) == 2
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.0, "2", None])
+def test_caps_other_than_a_positive_int_or_unbounded_rejected(m):
+    """A cap below 1 used to divide by zero (m=0), give a negative q (m=-1)
+    or report the paper's fact (i) as failing; now each entry point refuses it."""
+    for call in (lambda: q_of(4, m), lambda: coeff_table(4, m), lambda: coeff(4, 2, m),
+                 lambda: check_coeff_properties(4, m, 6)):
+        with pytest.raises(ParameterError, match="m must be a positive integer or UNBOUNDED"):
+            call()
 
 
 def test_table_window():

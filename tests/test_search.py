@@ -7,7 +7,7 @@ import sys
 import time
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 from operator import and_
 
@@ -526,7 +526,7 @@ def test_worker_determinism_every_n6_cell():
 
 @pytest.mark.parametrize("n,digest", [
     (5, "578b356b987b60da9cca4c170db591e1a0aee134515ce8e808b73fb647a8eb30"),
-    (6, "e180041d8b580623d597f703c7df2dc1aa9b1b39efc84e81594b47ade0da19b2"),
+    (6, "6b8d3f4af9c3d8dd530dacd7fae1c98282152e6383f0cd7be162bce6ed7ef758"),
 ])
 def test_every_cell_report_bytes_pinned(n, digest):
     """Every cell's reports at 1 to 4 workers hash to the digest pinned from
@@ -1302,6 +1302,10 @@ def test_star_as_shadow_fails_rigidity_and_uniqueness(monkeypatch):
     theorem = verify_hm_theorem(6, 4, 3)
     assert [v["type"] for v in theorem.lemma_violations] == ["achiever-not-shadow"]
     assert theorem.lemma_violations[0]["family"] == [list(m) for m in theorem.achievers[0]]
+    # these entries are cut like the other per-family lists, after the sort
+    monkeypatch.setattr(search, "_VIOLATION_CAP", 3)
+    report = verify_valuable_rigidity(6, 4, 2)
+    assert _reported(report.violations, "valuable-part-not-isomorphic") == [(b,) for b in candidates[:3]]
 
 
 def test_violation_cap_applies_after_sorting(monkeypatch):
@@ -1329,6 +1333,61 @@ def test_violation_cap_applies_after_sorting(monkeypatch):
                        (CHECK_VALUABLE_RIGIDITY, "valuable-layer-mismatch")):
         assert len(_reported(bundle[name].violations, kind)) == 3
     assert bundle[CHECK_REMOVED_LAYER].violations == ()
+
+
+def test_rigidity_list_at_the_unchecked_631_is_cut_to_1000():
+    """At (6,3,1) the window is layer 3 alone, so every family matching the
+    shadow's layer 3 is a candidate, and 1,968 of them have a valuable part
+    outside the shadow's orbit (found here over all 720 relabellings); the
+    report lists the smallest 1000."""
+    p = Params(6, 3, 1)
+    shadow = hm_shadow_valuable(p).member_sets()
+    orbit = {SetFamily.from_sets(6, [[perm[x - 1] for x in m] for m in shadow]).bits
+             for perm in permutations(range(1, 7))}
+    v_q = hm_shadow_layer_size(p, p.q)
+    outside = sorted(bits for bits, (layers, _, _) in _qualifying(6, p).items()
+                     if layers[p.q] == v_q and valuable_part(SetFamily(n=6, bits=bits), p).bits not in orbit)
+    assert len(outside) == 1968
+    report = verify_valuable_rigidity(6, 3, 1, check=False)
+    assert len(report.violations) == 1000
+    assert _reported(report.violations, "valuable-part-not-isomorphic") == [(b,) for b in outside[:1000]]
+
+
+VIOLATION_FIELDS = {
+    "bound-exceeded": {"type", "size", "bound", "family"},
+    "layer-dominance-failed": {"type", "layer", "count", "shadow_layer_size", "family"},
+    "valuable-layer-mismatch": {"type", "layer", "count", "shadow_layer_size", "family"},
+    "valuable-part-not-isomorphic": {"type", "family"},
+    "achiever-not-shadow": {"type", "family"},
+    "uniqueness-failed": {"type", "achiever_classes"},
+}
+
+
+def test_violation_entries_have_exactly_their_fields(monkeypatch):
+    """Every violation type a report can list, fired by the perturbations of
+    the tests above, carries exactly its fields: none added, none dropped."""
+    fields: dict[str, set] = {}
+
+    def collect(violations):
+        assert violations
+        for v in violations:
+            fields.setdefault(v["type"], set()).add(frozenset(v))
+
+    collect(verify_hm_theorem(7, 3, 1, check=False).lemma_violations)
+    with monkeypatch.context() as patch:
+        _patch_constants(patch, lambda c: c._replace(bound=c.bound - 1))
+        collect(verify_hm_theorem(6, 4, 3).lemma_violations)
+    with monkeypatch.context() as patch:
+        _patch_constants(patch, lambda c: c._replace(
+            v_sizes=tuple(s - (l == 2) for l, s in enumerate(c.v_sizes))))
+        bundle = verify_lemma_bundle(6, 4, 2)
+        collect(bundle[CHECK_LAYER_DOMINANCE].violations)
+        collect(bundle[CHECK_VALUABLE_RIGIDITY].violations)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "hm_shadow_valuable", lambda p: valuable_part(build_star(p.n), p))
+        collect(verify_valuable_rigidity(6, 4, 2).violations)
+        collect(verify_hm_theorem(6, 4, 3).lemma_violations)
+    assert fields == {kind: {frozenset(keys)} for kind, keys in VIOLATION_FIELDS.items()}
 
 
 def test_uniqueness_condition():

@@ -1,10 +1,12 @@
 """Source rules: invariants in src/msfam raise real errors, never `assert`,
-which `python -O` strips; and every top-level import is read in its module."""
+which `python -O` strips; every top-level import is read in its module; and
+README names every violation type that search.py writes into a report."""
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "msfam").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "msfam").glob("*.py"))
 
 
 def assert_lines(source: str) -> list[int]:
@@ -52,3 +54,29 @@ def test_import_checker_flags_an_unread_import():
               "import sys\nfrom math import comb, factorial\n"
               "from operator import or_  # noqa: F401\nprint(sys.argv, comb)\n")
     assert unread_imports(source) == ["factorial", "os", "osp"]
+
+
+def violation_types(source: str) -> list[str]:
+    """The string values under a "type" key in the dict literals of source, sorted."""
+    return sorted({value.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Dict)
+                   for key, value in zip(node.keys, node.values)
+                   if isinstance(key, ast.Constant) and key.value == "type"
+                   and isinstance(value, ast.Constant) and isinstance(value.value, str)})
+
+
+def undocumented(source: str, readme: str) -> list[str]:
+    """The violation types of source that readme never names in backquotes."""
+    return [name for name in violation_types(source) if f"`{name}`" not in readme]
+
+
+def test_readme_names_every_violation_type():
+    source = (ROOT / "src" / "msfam" / "search.py").read_text()
+    assert len(violation_types(source)) == 6
+    assert undocumented(source, (ROOT / "README.md").read_text()) == []
+
+
+def test_violation_type_checker_flags_an_undocumented_type():
+    source = ('found = [{"type": "bound-exceeded", "size": 3}, {"kind": "not-a-type"}]\n'
+              'entry = {**found[0], "type": "made-up"}\n')
+    assert violation_types(source) == ["bound-exceeded", "made-up"]
+    assert undocumented(source, "lists `bound-exceeded` and made-up") == ["made-up"]
