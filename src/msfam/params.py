@@ -121,9 +121,14 @@ def cap_text(m: Cap) -> str:
     return "inf" if is_unbounded(m) else str(m)
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_cap(m: Cap) -> None:
     """Raise ParameterError unless m is UNBOUNDED or a positive integer."""
-    if not is_unbounded(m) and (not isinstance(m, int) or m < 1):
+    if not is_unbounded(m) and (not is_int(m) or m < 1):
         raise ParameterError(f"m must be a positive integer or UNBOUNDED, got {m!r}")
 
 
@@ -151,9 +156,9 @@ class Params:
     m: Cap
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ParameterError(f"k must be a positive integer, got {self.k!r}")
         require_cap(self.m)
 

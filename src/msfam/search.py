@@ -27,9 +27,12 @@ avoiding element 1, whose complement, an (n-k)-subset holding 1, is then no
 member by the pair rule, so the star's layer n-k never lies wholly inside a
 qualifying maximal family.  The pass counts the keys, and keeps the family
 bitset only under a key that some job marks as interesting (an achiever, a
-violation or a rigidity candidate), decided the first time the key is seen.
-The jobs then run once per distinct key: the six-job n=7 pass of the
-benchmark has 91 keys among its 1.42M families.  A node's completions depend
+violation or a rigidity candidate), decided the first time the key is seen:
+the six-job n=7 pass of the benchmark has 91 keys among its 1.42M families.
+The counts are then summed per window, all families and those qualifying
+for each window, which is all a report states of the families it does not
+list, and each job reads its findings from the kept families alone, once
+per key under which families were kept.  A node's completions depend
 only on its U, and the key of a family adds up over its members.  The pass
 therefore counts top-down over U rather than over the tree: each U pushes
 its node keys, with the number of paths to each, into its children, down to
@@ -69,18 +72,19 @@ too.  So the benchmark's n=6 job set closes 30 orbits: the 29 distinct
 orbits among the 59 achiever classes of its four theorem cells, and one
 shadow orbit that two theorem cells and both lemma cells share.
 
-A pass is the whole tree's key histogram with its kept families, and the
-invariant-family totals of each non-identity cycle type.  At W workers it
-is computed as W shares, one per process, each by the same function.  The
-tree is split at its top into at least W start states whose subtrees
-partition it (for W = 1, the root alone), and these are dealt to the W
-processes in contiguous blocks.  The calling process forks W - 1 workers,
-which divide the cycle types among them, computes its own share of the
-last block meanwhile, counting the cycle types only when it is alone, and
-merges into it the shares the workers send back, one pickle through one
-pipe each.  So W > 1 needs os.fork, which POSIX systems have.  A subtree
-walked on its own meets again the undecided sets it shares with the others,
-but in the frontier order the root's two subtrees share few: at n=7 they
+A pass is the whole tree's kept families with its family totals per window,
+and the invariant-family totals of the non-identity cycle types summed in
+the same columns.  At W workers it is computed as W shares, one per
+process, each by the same function.  The tree is split at its top into at
+least W start states whose subtrees partition it (for W = 1, the root
+alone), and these are dealt to the W processes in contiguous blocks.  The
+calling process forks W - 1 workers, which divide the cycle types among
+them, computes its own share of the last block meanwhile, counting the
+cycle types only when it is alone, and merges into it the shares the
+workers send back, one pickle through one pipe each.  So W > 1 needs
+os.fork, which POSIX systems have.  A subtree walked on its own meets again
+the undecided sets it shares with the others, but in the frontier order
+the root's two subtrees share few: at n=7 they
 meet 3,658 and 9,283 U against 11,740 for the whole tree, at n=8 2.34M and
 2.28M against 3.86M.  BENCH_split.json holds the (8,4,2) theorem and lemma
 pass at two workers against a caller that walked the whole tree while a
@@ -101,7 +105,7 @@ import pickle
 import signal
 import sys
 import time
-from collections import Counter, defaultdict, namedtuple
+from collections import defaultdict, namedtuple
 from functools import lru_cache, reduce
 from itertools import zip_longest
 from math import comb, factorial
@@ -111,7 +115,7 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 from .coeffs import coeff_table
 from .families import hm_size
 from .multiset import MultisetFamily, enumerate_k_multisets, count_k_multisets, support
-from .params import Cap, InvariantError, Params, ParameterError, SearchCapError, frozen
+from .params import Cap, InvariantError, Params, ParameterError, SearchCapError, frozen, is_int
 from .reporting import LemmaReport, TheoremReport
 from .subsets import (
     SetFamily, _permute_mask, _swap_closure, _transpositions, canonical_set_family,
@@ -151,7 +155,7 @@ LEMMA_CHECKS = (CHECK_REMOVED_LAYER, CHECK_LAYER_DOMINANCE, CHECK_VALUABLE_RIGID
 
 
 def _check_cap(n: int, cap_override: bool) -> None:
-    if not isinstance(n, int):
+    if not is_int(n):
         raise ParameterError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ParameterError("enumeration needs n >= 2")
@@ -425,7 +429,7 @@ class _KeyWalk:
         masks, fields = deltas.get(new) or deltas.setdefault(new, self._delta(new))
         return (key | masks) + fields
 
-    def histogram(self, starts: list | None = None) -> tuple[Counter, dict[int, list[int]]]:
+    def histogram(self, starts: list | None = None) -> tuple[dict[int, int], dict[int, list[int]]]:
         """The key histogram of the leaves below starts, the root by default,
         and the families under kept keys among them."""
         starts = self.root if starts is None else starts
@@ -453,7 +457,7 @@ class _KeyWalk:
             starts = children
         return starts
 
-    def _count(self, starts: list) -> Counter:
+    def _count(self, starts: list) -> dict[int, int]:
         steps, deltas, delta = self.steps, self.deltas, self._delta
         # per number of undecided items: U -> [a step index at or before
         # U's first undecided decision, {node key: paths}]
@@ -478,7 +482,7 @@ class _KeyWalk:
                         k = (k | masks) + fields
                         into[k] = into.get(k, 0) + paths
             levels[size] = None
-        return Counter(levels[0][0][1]) if levels[0] else Counter()
+        return levels[0][0][1] if levels[0] else {}
 
     def _collect(self, targets: list[int], starts: list) -> dict[int, list[int]]:
         """The families below starts under the keys targets that keep marks.
@@ -594,16 +598,11 @@ def _nonidentity_types(n: int) -> list[tuple[tuple[int, ...], int]]:
             if any(perm[i] != i for i in range(n))]
 
 
-def _cycle_type_totals(n: int, windows: Sequence[tuple[int, int]],
-                       perm: tuple[int, ...], class_size: int) -> list[int]:
-    """class_size times the number of families invariant under perm: first
-    all of them, then those qualifying for each window."""
-    totals = [0] * (1 + len(windows))
-    steps = _walk_steps(n, perm)
-    if steps is None:
-        return totals
-    codec = _key_codec(n, tuple(windows))
-    hist = _KeyWalk(n, codec, steps=steps).histogram()[0]
+def _window_totals(codec: _KeyCodec, hist: dict[int, int], class_size: int) -> list[int]:
+    """class_size times the number of families in a histogram of packed
+    keys: first all of them, then those qualifying for each of the codec's
+    windows."""
+    totals = [0] * (1 + len(codec.windows))
     for key, count in hist.items():
         for i, ok in enumerate((True, *codec.decode(key)[1])):
             if ok:
@@ -611,13 +610,21 @@ def _cycle_type_totals(n: int, windows: Sequence[tuple[int, int]],
     return totals
 
 
-def _nonidentity_sum(totals: Iterable[list[int]]) -> list[int]:
-    """The _cycle_type_totals of the non-identity cycle types summed entry by
-    entry: the orbit-counting lemma's sum over those types of class_size *
-    invariant-family count, first over all invariant families, then over
-    those qualifying for each window.  An empty list, the sum over no cycle
-    types, adds nothing."""
-    return [sum(column) for column in zip_longest(*totals, fillvalue=0)]
+def _cycle_type_totals(n: int, windows: Sequence[tuple[int, int]],
+                       perm: tuple[int, ...], class_size: int) -> list[int]:
+    """class_size times the number of families invariant under perm: first
+    all of them, then those qualifying for each window."""
+    steps = _walk_steps(n, perm)
+    if steps is None:
+        return [0] * (1 + len(windows))
+    codec = _key_codec(n, tuple(windows))
+    return _window_totals(codec, _KeyWalk(n, codec, steps=steps).histogram()[0], class_size)
+
+
+def _column_sums(rows: Iterable[list[int]]) -> list[int]:
+    """Lists of totals summed entry by entry; an empty list, such as the
+    orbit totals of a process given no cycle type, adds nothing."""
+    return [sum(column) for column in zip_longest(*rows, fillvalue=0)]
 
 
 def count_maximal_families(n: int, cap_override: bool = False) -> int:
@@ -792,30 +799,24 @@ def _findings(job: tuple[str, Params], key: tuple, windows: tuple) -> list | Non
 
 
 def _share(n: int, jobs: tuple, block: list, types: list
-           ) -> tuple[Counter, dict[tuple, list[int]], list[int]]:
-    """One process's share of a pass over jobs: the key histogram of the
-    maximal families on [n] below block, a list of start states (see
-    _KeyWalk.split), and the bits of the families under interesting keys
-    among them, both keyed by decoded key; then the _nonidentity_sum of the
-    cycle types in types.  Whether a key is interesting is decided the first
-    time it is seen."""
+           ) -> tuple[dict[int, list[int]], list[int], list[int]]:
+    """One process's share of a pass over jobs, for the maximal families on
+    [n] below block, a list of start states (see _KeyWalk.split): the bits
+    of the families under interesting keys among them, by packed key; the
+    _window_totals of all of them; and the column sums of the
+    _cycle_type_totals of the cycle types in types.  Whether a key is
+    interesting is decided the first time it is seen."""
     windows = _windows(jobs)
     codec = _key_codec(n, windows)
-    decode = lru_cache(maxsize=None)(codec.decode)
 
     @lru_cache(maxsize=None)
     def keep(key: int) -> bool:
-        decoded = decode(key)
+        decoded = codec.decode(key)
         return any(_findings(job, decoded, windows) for job in jobs)
 
-    packed, packed_kept = _KeyWalk(n, codec, keep).histogram(block)
-    hist, kept = Counter(), {}
-    for key, count in packed.items():
-        hist[decode(key)] += count
-    for key, fams in packed_kept.items():
-        kept.setdefault(decode(key), []).extend(fams)
-    return hist, kept, _nonidentity_sum(_cycle_type_totals(n, windows, *cycle_type)
-                                        for cycle_type in types)
+    hist, kept = _KeyWalk(n, codec, keep).histogram(block)
+    return kept, _window_totals(codec, hist, 1), _column_sums(
+        _cycle_type_totals(n, windows, *cycle_type) for cycle_type in types)
 
 
 def _worker(reader: int, writer: int, *share) -> NoReturn:
@@ -839,11 +840,14 @@ def _worker(reader: int, writer: int, *share) -> NoReturn:
 
 
 def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
-              ) -> tuple[Counter, dict[tuple, list[int]], list[int]]:
-    """One enumeration pass: the key histogram of the maximal families on [n],
-    the bits of the families under interesting keys, and the orbit-counting
-    totals over the non-identity cycle types (see _nonidentity_sum; empty
-    when the jobs have no windows).
+              ) -> tuple[dict[int, list[int]], list[int], list[int]]:
+    """One enumeration pass over the maximal families on [n]: the bits of
+    the families under interesting keys, by packed key; how many families
+    there are, first all of them, then those qualifying for each window
+    (see _window_totals); and the orbit-counting lemma's sum over the
+    non-identity cycle types of class_size * invariant-family count, in the
+    same columns (see _cycle_type_totals; empty when the jobs have no
+    windows).
 
     The tree is split into at least workers start states (_KeyWalk.split;
     for one worker, the root alone), dealt to the processes in contiguous
@@ -852,15 +856,15 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
     the cycle types (most cycles first), computes its own _share of the last
     block meanwhile, with every cycle type if it is alone and none
     otherwise, and then reads each worker's pickled share to the end of its
-    pipe and merges it into its own: it adds their histograms, joins their
-    kept families and sums their orbit totals.  The start states partition
-    the tree's root-to-leaf paths, and keep looks at the key alone, so each
-    family is counted and kept by exactly one process; an undecided set met
-    below two blocks is walked twice, but its paths are counted once.  A
-    worker's exception is raised again here, and a worker that exits without
-    sending raises RuntimeError.  Every worker is sent SIGTERM and reaped
-    before this returns or raises.  It needs os.fork for workers > 1, which
-    run_verification checks.
+    pipe and merges it into its own: it joins their kept families and sums
+    their family totals and their orbit totals column by column.  The start
+    states partition the tree's root-to-leaf paths, and keep looks at the
+    key alone, so each family is counted and kept by exactly one process;
+    an undecided set met below two blocks is walked twice, but its paths
+    are counted once.  A worker's exception is raised again here, and a
+    worker that exits without sending raises RuntimeError.  Every worker is
+    sent SIGTERM and reaped before this returns or raises.  It needs os.fork
+    for workers > 1, which run_verification checks.
     """
     jobs = tuple(jobs)
     windows = _windows(jobs)
@@ -888,8 +892,8 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
             finally:
                 os.close(writer)  # so that a worker's exit without sending reads as EOF
             pids.append(pid)
-        hist, kept, orbits = _share(n, jobs, blocks[-1], [] if procs else types)
-        sums = [orbits]
+        kept, totals, orbits = _share(n, jobs, blocks[-1], [] if procs else types)
+        sums = [(totals, orbits)]
         for pid, reader in zip(pids, readers):
             with open(reader, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -901,41 +905,37 @@ def _run_pass(n: int, jobs: Sequence[tuple[str, Params]], workers: int
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            part_hist, part_kept, part_sum = value
-            hist.update(part_hist)
+            part_kept, *part_sums = value
             for key, fams in part_kept.items():
                 kept.setdefault(key, []).extend(fams)
-            sums.append(part_sum)
+            sums.append(part_sums)
     finally:
         for reader in readers:
             os.close(reader)
         for pid in pids:
             os.kill(pid, signal.SIGTERM)
             os.waitpid(pid, 0)
-    return hist, kept, _nonidentity_sum(sums)
+    totals, orbits = zip(*sums)
+    return kept, _column_sums(totals), _column_sums(orbits)
 
 
-def _tally(job: tuple[str, Params], hist: Counter, kept: dict, windows: tuple
-           ) -> tuple[int, dict[str, list]]:
-    """The families one job checked, and its findings by name: under a
-    marker its family bitsets, sorted; under a violation type the (family
-    bits, entry) pair of each family, unsorted (_violations sorts them).
-    Every family under one key shares that key's entry."""
-    checked = 0
+def _tally(job: tuple[str, Params], kept: dict[int, list[int]], codec: _KeyCodec
+           ) -> dict[str, list]:
+    """One job's findings by name, from the families a pass kept under their
+    packed keys: under a marker its family bitsets, sorted; under a
+    violation type the (family bits, entry) pair of each family, unsorted
+    (_violations sorts them).  Every family under one key shares that key's
+    entry."""
     found: dict[str, list] = defaultdict(list)
-    for key, count in hist.items():
-        findings = _findings(job, key, windows)
-        if findings is None:
-            continue
-        checked += count
-        for finding in findings:
+    for key, fams in kept.items():
+        for finding in _findings(job, codec.decode(key), codec.windows) or ():
             if finding in (ACHIEVER, RIGIDITY_CANDIDATE):
-                found[finding] += kept[key]
+                found[finding] += fams
             else:
-                found[finding["type"]] += [(bits, finding) for bits in kept[key]]
+                found[finding["type"]] += [(bits, finding) for bits in fams]
     for marker in (ACHIEVER, RIGIDITY_CANDIDATE):
         found[marker].sort()
-    return checked, found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -1078,7 +1078,7 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
                      cap_override: bool = False, check: bool = True,
                      timing: bool = False) -> VerificationResults:
     """Run one enumeration pass at n serving all requested verification jobs."""
-    if not isinstance(workers, int) or workers < 1:
+    if not is_int(workers) or workers < 1:
         raise ParameterError(f"workers must be an integer of at least 1, got {workers!r}")
     if workers > 1 and not hasattr(os, "fork"):
         raise ParameterError(f"workers > 1 needs os.fork, which this platform lacks, got {workers}")
@@ -1094,20 +1094,21 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
             jobs.append((kind, p))
 
     # isomorphism classes of qualifying families per distinct window come
-    # from orbit counting: nonidentity holds the non-identity cycle types' totals
-    hist, kept, nonidentity = _run_pass(n, jobs, workers)
-    families_total = sum(hist.values())
-    windows = _windows(jobs)
+    # from orbit counting: totals is the identity's column of the sum, and
+    # nonidentity holds the non-identity cycle types' columns
+    kept, totals, nonidentity = _run_pass(n, jobs, workers)
+    families_total = totals[0]
+    codec = _key_codec(n, _windows(jobs))
 
     runtime_ms = int((time.monotonic() - started) * 1000) if timing else None
 
-    tallies = [_tally(job, hist, kept, windows) for job in jobs]
+    tallies = [_tally(job, kept, codec) for job in jobs]
     # every distinct orbit is closed once per pass: the achiever orbits
     # across the theorem cells, and the shadow's valuable part per window.
     # The achievers leave their tallies, so that their lists are freed
     # once the orbits are claimed: (7,6,inf) has 1.42M of them.
     classes = iter(_achiever_classes(n, [found.pop(ACHIEVER, [])
-                                         for (kind, _), (_, found) in zip(jobs, tallies)
+                                         for (kind, _), found in zip(jobs, tallies)
                                          if kind == THEOREM]))
     shadow_orbits: dict[int, set[int]] = {}
 
@@ -1119,8 +1120,10 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
 
     theorem_reports = []
     lemma_bundles = []
-    for (kind, p), (checked, found) in zip(jobs, tallies):
-        iso_classes = _orbit_count(n, checked + nonidentity[1 + windows.index((p.q, p.k))])
+    for (kind, p), found in zip(jobs, tallies):
+        column = 1 + codec.windows.index((p.q, p.k))
+        checked = totals[column]
+        iso_classes = _orbit_count(n, checked + nonidentity[column])
         if kind == THEOREM:
             theorem_reports.append(_finalize_theorem(
                 p, checked, found, families_total, iso_classes, runtime_ms,

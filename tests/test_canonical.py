@@ -127,11 +127,11 @@ def test_bitset_encoding_equals_vector_path_on_n7_achievers():
              for p in [Params(7, k, m)] if 7 >= k + p.q and uniqueness_condition(p)]
     assert len(cells) == 8
     jobs = [(search.THEOREM, p) for p in cells]
-    hist, kept, _ = search._run_pass(7, jobs, 1)
-    windows = search._windows(jobs)
+    kept, _, _ = search._run_pass(7, jobs, 1)
+    codec = search._key_codec(7, search._windows(jobs))
     achievers = set()
     for job in jobs:
-        found = search._tally(job, hist, kept, windows)[1]
+        found = search._tally(job, kept, codec)
         assert found[search.ACHIEVER], job
         achievers.update(found[search.ACHIEVER])
     for bits in sorted(achievers):

@@ -50,10 +50,11 @@ def test_q_of():
     assert q_of(6, 3) == 2
 
 
-@pytest.mark.parametrize("m", [0, -1, 2.0, "2", None])
+@pytest.mark.parametrize("m", [0, -1, 2.0, "2", None, True])
 def test_caps_other_than_a_positive_int_or_unbounded_rejected(m):
     """A cap below 1 used to divide by zero (m=0), give a negative q (m=-1)
-    or report the paper's fact (i) as failing; now each entry point refuses it."""
+    or report the paper's fact (i) as failing; now each entry point refuses
+    it, and a bool, which Python counts as an int, too."""
     for call in (lambda: q_of(4, m), lambda: coeff_table(4, m), lambda: coeff(4, 2, m),
                  lambda: check_coeff_properties(4, m, 6)):
         with pytest.raises(ParameterError, match="m must be a positive integer or UNBOUNDED"):

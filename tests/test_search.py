@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -158,7 +158,7 @@ def test_enumeration_guard_raises_at_the_call(n, error):
         enumerate_maximal_families(n)
 
 
-@pytest.mark.parametrize("n", [5.0, "5"])
+@pytest.mark.parametrize("n", [5.0, "5", True])
 def test_non_integer_n_rejected(n):
     for call in (count_maximal_families, count_iso_classes, run_verification,
                  enumerate_maximal_families):
@@ -226,9 +226,9 @@ def test_each_orbit_encoded_once_every_n6_cell(monkeypatch):
     each distinct orbit once, through its least member, and gives each
     cell the classes it gets alone."""
     jobs = [(search.THEOREM, p) for p in _admissible_cells(6)]
-    hist, kept, _ = search._run_pass(6, jobs, 1)
-    windows = search._windows(jobs)
-    cells = [search._tally(job, hist, kept, windows)[1][search.ACHIEVER] for job in jobs]
+    kept, _, _ = search._run_pass(6, jobs, 1)
+    codec = search._key_codec(6, search._windows(jobs))
+    cells = [search._tally(job, kept, codec)[search.ACHIEVER] for job in jobs]
     assert all(type(bits) is int for cell in cells for bits in cell)
     alone = [classes for achievers in cells for classes in search._achiever_classes(6, [achievers])]
     encoded = []
@@ -284,11 +284,11 @@ def test_broken_orbit_in_the_second_cell_sharing_it_raises(monkeypatch, victim_o
     original = search._tally
 
     def tally(job, *args):
-        checked, found = original(job, *args)
+        found = original(job, *args)
         if job == (search.THEOREM, second):
             # the achievers are plain family bitsets
             found[search.ACHIEVER].remove(victim_of(found[search.ACHIEVER]))
-        return checked, found
+        return found
 
     assert run_verification(6, [first, second]).theorem_reports[1].achiever_class_sizes == (30,)
     monkeypatch.setattr(search, "_tally", tally)
@@ -550,13 +550,14 @@ def test_n7_job_set_report_bytes_pinned(workers):
         "5d2edd6a7193329919ec9f3bf63e41c2fce107b9fd48eb1747222dece21645cc")
 
 
-@pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
+@pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True])
 def test_workers_below_one_rejected(monkeypatch, workers):
     def refuse(*args):
         raise AssertionError("no enumeration pass may start")
     monkeypatch.setattr(search, "_run_pass", refuse)
     with pytest.raises(ParameterError):
         run_verification(5, theorem_params=[Params(5, 4, UNBOUNDED)], workers=workers)
+
 
 
 def test_shared_pass_counts_each_window_by_definition():
@@ -639,19 +640,88 @@ def _all_cells(n):
             for kind in (search.THEOREM, search.LEMMAS)]
 
 
+def _window_columns(hist, windows):
+    """The column sums of a histogram by decoded key: all its families, then
+    those qualifying for each window."""
+    return [sum(hist.values())] + [sum(count for (_, flags), count in hist.items() if flags[i])
+                                   for i in range(len(windows))]
+
+
+def _decoded_kept(codec, kept):
+    """Kept families by decoded key, sorted; packed keys may share a decoding."""
+    out = {}
+    for key, fams in kept.items():
+        out.setdefault(codec.decode(key), []).extend(fams)
+    return _sorted_kept(out)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_pass_equals_leaf_by_leaf_histogram(n):
+    """The pass's kept families and family totals, from the leaf-by-leaf
+    histogram's kept families and column sums."""
     jobs = _all_cells(n)
     assert len(jobs) >= 8
+    windows = search._windows(jobs)
+    codec = search._key_codec(n, windows)
     hist, kept = _leaf_by_leaf(n, jobs)
     assert sum(hist.values()) == MAXIMAL_COUNTS[n]
     orbit_totals = []
     for workers in (1, 2, 3):
-        got_hist, got_kept, got_orbits = search._run_pass(n, jobs, workers)
-        assert got_hist == hist, workers
-        assert {key: sorted(fams) for key, fams in got_kept.items()} == kept, workers
+        got_kept, got_totals, got_orbits = search._run_pass(n, jobs, workers)
+        assert got_totals == _window_columns(hist, windows), workers
+        assert _decoded_kept(codec, got_kept) == kept, workers
         orbit_totals.append(got_orbits)
     assert orbit_totals[0] and orbit_totals[0] == orbit_totals[1] == orbit_totals[2]
+
+
+def _tally_by_definition(n, jobs):
+    """Per job, its findings in the form of _tally and the number of
+    families it checks, one family at a time from the definitions."""
+    windows = search._windows(jobs)
+    found, checked = [defaultdict(list) for _ in jobs], [0] * len(jobs)
+    for fam in enumerate_maximal_families(n):
+        key = _key_by_definition(fam, windows)
+        for i, job in enumerate(jobs):
+            findings = search._findings(job, key, windows)
+            if findings is None:
+                continue
+            checked[i] += 1
+            for finding in findings:
+                if finding in (search.ACHIEVER, search.RIGIDITY_CANDIDATE):
+                    found[i][finding].append(fam.bits)
+                else:
+                    found[i][finding["type"]].append((fam.bits, finding))
+    return list(zip(found, checked))
+
+
+def _by_family(found):
+    """Findings with empty lists dropped and each list sorted stably by
+    family bits, as _violations sorts them."""
+    return {name: sorted(items, key=lambda item: item if type(item) is int else item[0])
+            for name, items in found.items() if items}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("workers", FORKED_WORKERS)
+def test_tally_from_kept_families_equals_findings_by_definition(n, workers):
+    """Every admissible job at n, theorem and lemmas, in one pass: each
+    job's findings from the pass's kept families alone, and its checked
+    count from the pass's totals, against the same computed family by
+    family; the totals against the leaf-by-leaf histogram's column sums."""
+    jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
+    windows = search._windows(jobs)
+    codec = search._key_codec(n, windows)
+    kept, totals, _ = search._run_pass(n, jobs, workers)
+    assert totals == _window_columns(_leaf_by_leaf(n, jobs)[0], windows)
+    marked = 0
+    for job, (found, checked) in zip(jobs, _tally_by_definition(n, jobs)):
+        got = search._tally(job, kept, codec)
+        assert _by_family(got) == _by_family(found), job
+        for marker in (search.ACHIEVER, search.RIGIDITY_CANDIDATE):
+            assert got[marker] == sorted(got[marker]), job
+        assert totals[1 + windows.index((job[1].q, job[1].k))] == checked, job
+        marked += sum(map(len, found.values()))
+    assert marked or n < 4
 
 
 def _admissible_cells(n):
@@ -686,8 +756,16 @@ def test_walk_equals_leaf_by_leaf_under_every_cell(monkeypatch, n, marks):
     if marks != "jobs":
         monkeypatch.setattr(search, "_findings",
                             lambda job, key, windows: [("kept",)] if keep(key) else [])
-    hist, kept, orbits = search._share(n, jobs, search._KeyWalk(n, search._key_codec(n, ())).root, [])
-    assert (hist, _sorted_kept(kept), orbits) == (expected_hist, _sorted_kept(expected_kept), [])
+    codec = search._key_codec(n, windows)
+    root = search._KeyWalk(n, search._key_codec(n, ())).root
+    kept, totals, orbits = search._share(n, jobs, root, [])
+    assert (_decoded_kept(codec, kept), totals, orbits) == (
+        _sorted_kept(expected_kept), _window_columns(expected_hist, windows), [])
+    # the walk's own histogram, which _share reduces to those totals
+    hist = Counter()
+    for key, count in search._KeyWalk(n, codec).histogram(root)[0].items():
+        hist[codec.decode(key)] += count
+    assert hist == expected_hist
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -815,7 +893,7 @@ def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
     walks the rest and counts every cycle type."""
     jobs = [(search.THEOREM, p) for p in _admissible_cells(n)]
     windows = search._windows(jobs)
-    serial_hist, serial_kept, serial = search._run_pass(n, jobs, 1)
+    serial_kept, serial_totals, serial = search._run_pass(n, jobs, 1)
     original_totals, original_share = search._cycle_type_totals, search._share
     caller = os.getpid()
     shares = []
@@ -826,20 +904,20 @@ def test_orbits_counted_in_workers_tree_in_caller(monkeypatch, n):
         return original_totals(*args)
 
     def share(*args):
-        hist, kept, orbits = original_share(*args)
+        kept, totals, orbits = original_share(*args)
         # forked workers append to their own copy of shares
-        shares.append((os.getpid(), args[2], args[3], sum(hist.values())))
-        return hist, kept, orbits
+        shares.append((os.getpid(), args[2], args[3], totals[0]))
+        return kept, totals, orbits
     monkeypatch.setattr(search, "_cycle_type_totals", in_worker)
     monkeypatch.setattr(search, "_share", share)
-    hist, kept, orbits = search._run_pass(n, jobs, 2)
-    assert (hist, _sorted_kept(kept), orbits) == (serial_hist, _sorted_kept(serial_kept), serial)
-    assert len(serial) == 1 + len(windows)
+    kept, totals, orbits = search._run_pass(n, jobs, 2)
+    assert (_sorted_kept(kept), totals, orbits) == (_sorted_kept(serial_kept), serial_totals, serial)
+    assert len(serial) == len(serial_totals) == 1 + len(windows)
     [(pid, block, types, families)] = shares
     assert pid == caller and types == []
     # the second child of the root: (step index, U, family bits) without the key
     assert len(block) == 1 and block[0][:3] == search._KeyWalk(n, search._key_codec(n, ())).split(2)[1][:3]
-    assert 0 < families < sum(serial_hist.values())
+    assert 0 < families < serial_totals[0]
     _assert_no_child_left()
 
 
@@ -859,13 +937,13 @@ def test_one_worker_computes_one_share_in_the_caller(monkeypatch, n):
         raise AssertionError("a pass at one worker starts no process")
     monkeypatch.setattr(search, "_share", share)
     monkeypatch.setattr(os, "fork", refuse)
-    hist, kept, orbits = search._run_pass(n, jobs, 1)
-    [((got_n, got_jobs, block, types), (share_hist, share_kept, share_orbits))] = shares
+    kept, totals, orbits = search._run_pass(n, jobs, 1)
+    [((got_n, got_jobs, block, types), (share_kept, share_totals, share_orbits))] = shares
     proper = (1 << ((1 << n) - 1)) - 2
     assert (got_n, got_jobs, block) == (n, tuple(jobs), [(0, proper, 0, 0)])
     assert types == search._nonidentity_types(n) and len(types) > 1
-    assert hist is share_hist and kept is share_kept and orbits == share_orbits
-    assert sum(hist.values()) == MAXIMAL_COUNTS[n] and kept
+    assert kept is share_kept and totals == share_totals and orbits == share_orbits
+    assert totals[0] == MAXIMAL_COUNTS[n] and kept
     windows = search._windows(jobs)
     assert len(orbits) == 1 + len(windows) and orbits[0] > 0
 
@@ -920,8 +998,8 @@ def test_split_beyond_the_leaves_terminates(n):
     jobs = [(kind, p) for p in _admissible_cells(n) for kind in (search.THEOREM, search.LEMMAS)]
     serial = search._run_pass(n, jobs, 1)
     for workers in (2, 3, 4):
-        hist, kept, orbits = search._run_pass(n, jobs, workers)
-        assert (hist, _sorted_kept(kept), orbits) == (serial[0], _sorted_kept(serial[1]), serial[2])
+        kept, totals, orbits = search._run_pass(n, jobs, workers)
+        assert (_sorted_kept(kept), totals, orbits) == (_sorted_kept(serial[0]), serial[1], serial[2])
     _assert_no_child_left()
 
 
@@ -932,15 +1010,15 @@ def test_pass_at_n7_equal_across_workers():
     jobs = [(search.THEOREM, Params(7, k, m))
             for k, m in ((4, 2), (4, 3), (4, UNBOUNDED), (5, 3), (5, UNBOUNDED))]
     jobs.append((search.LEMMAS, Params(7, 4, 2)))
-    hist, kept, orbits = search._run_pass(7, jobs, 1)
-    assert sum(hist.values()) == 1422564 and orbits
+    kept, totals, orbits = search._run_pass(7, jobs, 1)
+    assert totals[0] == 1422564 and orbits
     starts = search._KeyWalk(7, search._key_codec(7, search._windows(jobs))).split(2)
-    halves = [sum(map(len, search._share(7, tuple(jobs), [start], [])[1].values()))
+    halves = [sum(map(len, search._share(7, tuple(jobs), [start], [])[0].values()))
               for start in starts]
     assert all(halves) and sum(halves) == sum(map(len, kept.values()))
     for workers in (2, 3, 4):
-        got_hist, got_kept, got_orbits = search._run_pass(7, jobs, workers)
-        assert got_hist == hist, workers
+        got_kept, got_totals, got_orbits = search._run_pass(7, jobs, workers)
+        assert got_totals == totals, workers
         assert _sorted_kept(got_kept) == _sorted_kept(kept), workers
         assert got_orbits == orbits, workers
     _assert_no_child_left()

@@ -107,7 +107,8 @@ def test_value_class_agrees_with_its_dataclass_twin(cls):
 
 
 def test_params_validates_and_caches():
-    for bad in ((0, 4, 2), (6, 0, 2), (6, 4, 0), (6.0, 4, 2), (6, 4, "2")):
+    for bad in ((0, 4, 2), (6, 0, 2), (6, 4, 0), (6.0, 4, 2), (6, 4, "2"),
+                (True, 4, 2), (6, True, 2), (6, 4, True)):
         with pytest.raises(ParameterError):
             Params(*bad)
         with pytest.raises(ParameterError):
