@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import os
 import sys
@@ -21,7 +20,7 @@ from typing import Callable
 
 from . import fileio, search
 from .coeffs import coeff_table
-from .families import build_ekr, build_hm, ekr_size
+from .families import build_ekr, build_hm
 from .multiset import MultisetFamily, count_k_multisets
 from .params import Cap, Params, ParameterError, SearchCapError, cap_text, parse_cap
 from .reporting import (
@@ -29,12 +28,19 @@ from .reporting import (
     to_canonical_json,
 )
 from .subsets import (
-    build_hm_shadow, build_removed_part, build_star, by_size_then_elements, hm_shadow_valuable,
-    mask_from_elements,
+    SetFamily, build_hm_shadow, build_removed_part, build_star, by_size_then_elements,
+    hm_shadow_valuable, mask_from_elements,
 )
 
-_SET_TARGETS = ("star", "removed-part", "shadow", "shadow-valuable")
-_MULTISET_TARGETS = ("ekr", "hm")
+# construct's targets and their builders, in the order --help lists them
+_TARGETS: dict[str, Callable[[Params], MultisetFamily | SetFamily]] = {
+    "ekr": build_ekr,
+    "hm": build_hm,
+    "star": lambda p: build_star(p.n),
+    "removed-part": build_removed_part,
+    "shadow": build_hm_shadow,
+    "shadow-valuable": hm_shadow_valuable,
+}
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -84,6 +90,17 @@ def _emit(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
+def _cell(args) -> tuple[int, int, Cap]:
+    """The (n, k, m) that --n, --k and --m name."""
+    return args.n, args.k, parse_cap(args.m)
+
+
+def _pass_options(args) -> dict:
+    """The options a verifying subcommand hands to its enumeration pass."""
+    return {"workers": args.workers, "cap_override": args.cap_override,
+            "check": not args.unchecked, "timing": args.timing}
+
+
 def _cmd_coeffs(args) -> int:
     ks = _parse_int_list(args.k)
     m = parse_cap(args.m)
@@ -98,6 +115,8 @@ def _cmd_coeffs(args) -> int:
         }
         _emit(to_canonical_json(payload), args.out)
         return 0
+    import csv  # only CSV output needs it, so no other command loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["l"] + [f"k={k}" for k in ks])
@@ -108,7 +127,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    p = Params(args.n, args.k, parse_cap(args.m))
+    p = Params(*_cell(args))
     value = count_k_multisets(p)
     if args.format == "json":
         payload = {
@@ -123,58 +142,27 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _construct_target(target: str, p: Params):
-    if target == "ekr":
-        return build_ekr(p), ekr_size(p)
-    if target == "hm":
-        fam = build_hm(p)
-        return fam, len(fam)
-    if target == "star":
-        fam = build_star(p.n)
-        return fam, len(fam)
-    if target == "removed-part":
-        fam = build_removed_part(p)
-        return fam, len(fam)
-    if target == "shadow":
-        fam = build_hm_shadow(p)
-        return fam, len(fam)
-    if target == "shadow-valuable":
-        fam = hm_shadow_valuable(p)
-        return fam, len(fam)
-    raise ParameterError(f"unknown construct target {target!r}")
-
-
 def _cmd_construct(args) -> int:
-    p = Params(args.n, args.k, parse_cap(args.m))
-    fam, size = _construct_target(args.target, p)
+    fam = _TARGETS[args.target](Params(*_cell(args)))
     if args.count_only:
-        _emit(f"{size}\n", args.out)
-        return 0
-    if isinstance(fam, MultisetFamily):
-        style = "sparse" if args.sparse else "dense"
-        _emit(fileio.multiset_family_text(fam, style), args.out)
+        text = f"{len(fam)}\n"
+    elif isinstance(fam, MultisetFamily):
+        text = fileio.multiset_family_text(fam, "sparse" if args.sparse else "dense")
     else:
-        _emit(fileio.set_family_text(fam), args.out)
+        text = fileio.set_family_text(fam)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_verify_theorem(args) -> int:
-    report = search.verify_hm_theorem(
-        args.n, args.k, parse_cap(args.m), workers=args.workers,
-        cap_override=args.cap_override, check=not args.unchecked, timing=args.timing,
-    )
-    if args.format == "text":
-        _emit(theorem_report_text(report), args.out)
-    else:
-        _emit(to_canonical_json(report), args.out)
+    report = search.verify_hm_theorem(*_cell(args), **_pass_options(args))
+    text = theorem_report_text if args.format == "text" else to_canonical_json
+    _emit(text(report), args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_verify_lemma(args) -> int:
-    bundle = search.verify_lemma_bundle(
-        args.n, args.k, parse_cap(args.m), workers=args.workers,
-        cap_override=args.cap_override, check=not args.unchecked, timing=args.timing,
-    )
+    bundle = search.verify_lemma_bundle(*_cell(args), **_pass_options(args))
     if args.which == "all":
         reports = [bundle[name] for name in search.LEMMA_CHECKS]
     else:
@@ -241,11 +229,8 @@ def _members_text(n: int) -> Callable[[int], str]:
 
 
 def _cmd_grid(args) -> int:
-    reports = search.verify_grid(
-        _parse_int_list(args.k), _parse_cap_list(args.m), args.n_max,
-        workers=args.workers, cap_override=args.cap_override,
-        check=not args.unchecked, timing=args.timing,
-    )
+    reports = search.verify_grid(_parse_int_list(args.k), _parse_cap_list(args.m), args.n_max,
+                                 **_pass_options(args))
     if args.report_dir:
         report_dir = _resolve_out(args.report_dir)
         os.makedirs(report_dir, exist_ok=True)
@@ -281,6 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--timing", action="store_true",
                             help="record wall-clock runtime_ms (breaks byte determinism)")
 
+    def add_cell(sp):
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--m", required=True)
+
     sp = sub.add_parser("coeffs", help="emit the composition-count table")
     sp.add_argument("--k", required=True, help="uniformity value(s): 4, 4,5 or 4..6")
     sp.add_argument("--m", required=True, help="multiplicity cap (integer or 'inf')")
@@ -289,35 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_coeffs)
 
     sp = sub.add_parser("count", help="count the k-multisets of the universe")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", required=True)
+    add_cell(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     add_common(sp)
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("construct", help="build a named family and dump or count it")
-    sp.add_argument("target", choices=_MULTISET_TARGETS + _SET_TARGETS)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", required=True)
+    sp.add_argument("target", choices=_TARGETS)
+    add_cell(sp)
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--sparse", action="store_true", help="sparse multiset lines (i^mu)")
     add_common(sp)
     sp.set_defaults(func=_cmd_construct)
 
     sp = sub.add_parser("verify-theorem", help="exhaustive bound and uniqueness check")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", required=True)
+    add_cell(sp)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     add_common(sp, workers=True)
     sp.set_defaults(func=_cmd_verify_theorem)
 
     sp = sub.add_parser("verify-lemma", help="exhaustive structural checks")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", required=True)
+    add_cell(sp)
     sp.add_argument("--which", choices=search.LEMMA_CHECKS + ("all",), default="all")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     add_common(sp, workers=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .params import Cap, frozen, is_unbounded, q_of, require_cap
+from .params import Cap, frozen, is_unbounded, q_of, require_cap, require_int
 
 __all__ = ["CoeffTable", "CoeffPropertyReport", "coeff", "coeff_table", "check_coeff_properties", "q_of"]
 
@@ -56,8 +56,7 @@ def _table_values(k: int, m_key: int | None) -> tuple[int, ...]:
 
 
 def coeff_table(k: int, m: Cap) -> CoeffTable:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    require_int("k", k)
     require_cap(m)
     m_key = None if is_unbounded(m) else m
     return CoeffTable(k=k, m=m, values=_table_values(k, m_key))
@@ -65,10 +64,8 @@ def coeff_table(k: int, m: Cap) -> CoeffTable:
 
 def coeff(k: int, l: int, m: Cap) -> int:
     """Number of compositions of k into l parts, each in [1, m]; 0 outside [q, k]."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if l < 0:
-        raise ValueError(f"l must be non-negative, got {l}")
+    require_int("k", k)
+    require_int("l", l, least=0)
     if l > k:
         return 0
     return coeff_table(k, m).values[l]

@@ -23,19 +23,11 @@ class FileFormatError(ValueError):
     """Raised on malformed family files."""
 
 
-def _dense_line(a: Multiset) -> str:
-    return " ".join(str(mu) for mu in a)
-
-
-def _sparse_line(a: Multiset) -> str:
-    return " ".join(f"{i + 1}^{mu}" for i, mu in enumerate(a) if mu)
-
-
 def format_multiset(a: Multiset, style: str = "dense") -> str:
     if style == "dense":
-        return _dense_line(a)
+        return " ".join(map(str, a))
     if style == "sparse":
-        return _sparse_line(a)
+        return " ".join(f"{i + 1}^{mu}" for i, mu in enumerate(a) if mu)
     raise ParameterError(f"unknown style {style!r} (want 'dense' or 'sparse')")
 
 
@@ -70,17 +62,10 @@ def parse_multiset(line: str, n: int) -> Multiset:
     return tuple(vec)
 
 
-def write_multiset_family(fam: MultisetFamily, out: TextIO, style: str = "dense") -> None:
-    p = fam.params
-    out.write(f"{p.n} {p.k} {p.m_text}\n")
-    for a in fam.members:
-        out.write(format_multiset(a, style) + "\n")
-
-
 def multiset_family_text(fam: MultisetFamily, style: str = "dense") -> str:
-    buf = io.StringIO()
-    write_multiset_family(fam, buf, style)
-    return buf.getvalue()
+    p = fam.params
+    lines = [f"{p.n} {p.k} {p.m_text}", *(format_multiset(a, style) for a in fam.members)]
+    return "\n".join(lines) + "\n"
 
 
 def read_multiset_family(inp: TextIO | str) -> MultisetFamily:
@@ -103,16 +88,9 @@ def read_multiset_family(inp: TextIO | str) -> MultisetFamily:
         raise FileFormatError(str(exc)) from None
 
 
-def write_set_family(fam: SetFamily, out: TextIO) -> None:
-    out.write(f"{fam.n}\n")
-    for member in fam.member_sets():
-        out.write(" ".join(str(e) for e in member) + "\n")
-
-
 def set_family_text(fam: SetFamily) -> str:
-    buf = io.StringIO()
-    write_set_family(fam, buf)
-    return buf.getvalue()
+    lines = [str(fam.n), *(" ".join(map(str, member)) for member in fam.member_sets())]
+    return "\n".join(lines) + "\n"
 
 
 def read_set_family(inp: TextIO | str) -> SetFamily:

@@ -17,27 +17,14 @@ from typing import Iterable, Iterator
 
 from . import canonical
 from .coeffs import coeff_table
-from .params import Params, ParameterError, frozen
+from .params import Params, ParameterError, Sentinel, frozen
 
 Multiset = tuple[int, ...]
 Permutation = tuple[int, ...]  # sigma[i-1] is the image of element i, values 1..n
 
 
-class _UniversalType:
+class _UniversalType(Sentinel, name="UNIVERSAL"):
     """Total intersection of the empty family; treated as non-empty."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNIVERSAL"
-
-    def __reduce__(self):
-        return (_UniversalType, ())
 
 
 UNIVERSAL = _UniversalType()

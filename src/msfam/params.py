@@ -23,10 +23,16 @@ class InvariantError(RuntimeError):
     """Raised when a result breaks a mathematical invariant, which means a fault in the program."""
 
 
-class _UnboundedType:
-    """Singleton marking an unlimited multiplicity cap."""
+class Sentinel:
+    """Base of a singleton class that names itself: ``class _T(Sentinel, name="T")``.
 
-    _instance = None
+    Calling the class returns its one instance, whose repr is the name, and
+    that instance pickles to itself.
+    """
+
+    def __init_subclass__(cls, name: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._name, cls._instance = name, None
 
     def __new__(cls):
         if cls._instance is None:
@@ -34,10 +40,14 @@ class _UnboundedType:
         return cls._instance
 
     def __repr__(self):
-        return "UNBOUNDED"
+        return self._name
 
     def __reduce__(self):
-        return (_UnboundedType, ())
+        return (type(self), ())
+
+
+class _UnboundedType(Sentinel, name="UNBOUNDED"):
+    """Singleton marking an unlimited multiplicity cap."""
 
 
 UNBOUNDED = _UnboundedType()
@@ -126,6 +136,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def require_int(name: str, value, least: int = 1) -> None:
+    """Raise ParameterError unless value is an int, not a bool, of at least least."""
+    if not is_int(value) or value < least:
+        raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def require_cap(m: Cap) -> None:
     """Raise ParameterError unless m is UNBOUNDED or a positive integer."""
     if not is_unbounded(m) and (not is_int(m) or m < 1):
@@ -134,8 +150,7 @@ def require_cap(m: Cap) -> None:
 
 def q_of(k: int, m: Cap) -> int:
     """Least support size of a k-uniform multiset under cap m: ceil(k/m), 1 for inf."""
-    if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
+    require_int("k", k)
     require_cap(m)
     if is_unbounded(m):
         return 1
@@ -156,10 +171,8 @@ class Params:
     m: Cap
 
     def __post_init__(self):
-        if not is_int(self.n) or self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if not is_int(self.k) or self.k < 1:
-            raise ParameterError(f"k must be a positive integer, got {self.k!r}")
+        require_int("n", self.n)
+        require_int("k", self.k)
         require_cap(self.m)
 
     @property

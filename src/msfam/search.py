@@ -115,7 +115,7 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 from .coeffs import coeff_table
 from .families import hm_size
 from .multiset import MultisetFamily, enumerate_k_multisets, count_k_multisets, support
-from .params import Cap, InvariantError, Params, ParameterError, SearchCapError, frozen, is_int
+from .params import Cap, InvariantError, Params, ParameterError, SearchCapError, frozen, require_int
 from .reporting import LemmaReport, TheoremReport
 from .subsets import (
     SetFamily, _permute_mask, _swap_closure, _transpositions, canonical_set_family,
@@ -155,10 +155,7 @@ LEMMA_CHECKS = (CHECK_REMOVED_LAYER, CHECK_LAYER_DOMINANCE, CHECK_VALUABLE_RIGID
 
 
 def _check_cap(n: int, cap_override: bool) -> None:
-    if not is_int(n):
-        raise ParameterError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ParameterError("enumeration needs n >= 2")
+    require_int("n", n, least=2)
     if n > DEFAULT_ENUMERATION_CAP and not cap_override:
         raise SearchCapError(
             f"enumeration at n={n} exceeds the guard (n <= {DEFAULT_ENUMERATION_CAP}); "
@@ -1078,8 +1075,7 @@ def run_verification(n: int, theorem_params: Sequence[Params] = (),
                      cap_override: bool = False, check: bool = True,
                      timing: bool = False) -> VerificationResults:
     """Run one enumeration pass at n serving all requested verification jobs."""
-    if not is_int(workers) or workers < 1:
-        raise ParameterError(f"workers must be an integer of at least 1, got {workers!r}")
+    require_int("workers", workers)
     if workers > 1 and not hasattr(os, "fork"):
         raise ParameterError(f"workers > 1 needs os.fork, which this platform lacks, got {workers}")
     _check_cap(n, cap_override)

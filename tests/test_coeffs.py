@@ -2,7 +2,10 @@
 
 import pytest
 
-from msfam import UNBOUNDED, ParameterError, check_coeff_properties, coeff, coeff_table, q_of
+from msfam import (
+    UNBOUNDED, ParameterError, Params, check_coeff_properties, coeff, coeff_table,
+    count_maximal_families, q_of, run_verification,
+)
 
 from conftest import brute_compositions
 
@@ -58,6 +61,20 @@ def test_caps_other_than_a_positive_int_or_unbounded_rejected(m):
     for call in (lambda: q_of(4, m), lambda: coeff_table(4, m), lambda: coeff(4, 2, m),
                  lambda: check_coeff_properties(4, m, 6)):
         with pytest.raises(ParameterError, match="m must be a positive integer or UNBOUNDED"):
+            call()
+
+
+@pytest.mark.parametrize("bad, bad_l", [(4.0, 4.0), (True, True), (0, -1)])
+def test_integer_arguments_other_than_an_int_rejected(bad, bad_l):
+    """Each integer argument is refused as a float, as a bool (which Python
+    counts as an int) and below its least value (l may be 0).  q_of(4.0, 2)
+    used to return 2.0, q_of(True, 2) returned 1, coeff_table(True, 2) built
+    a table and coeff(4.0, 2, 2) raised a bare TypeError."""
+    calls = [lambda: Params(bad, 4, 2), lambda: Params(6, bad, 2), lambda: q_of(bad, 2),
+             lambda: coeff_table(bad, 2), lambda: coeff(bad, 2, 2), lambda: coeff(4, bad_l, 2),
+             lambda: count_maximal_families(bad), lambda: run_verification(5, workers=bad)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="integer"):
             call()
 
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from msfam import MultisetFamily, Params, UNBOUNDED, build_hm, search
+from msfam import MultisetFamily, Params, UNBOUNDED, build_hm, ekr_size, parse_cap, search
 from msfam.cli import main
 from msfam.fileio import (
     FileFormatError, multiset_family_text, parse_multiset, read_multiset_family,
@@ -101,6 +101,22 @@ def test_cli_construct_count_only(capsys):
                            "--m", "1", "--count-only")
     assert code == 0
     assert out.strip() == "53"
+
+
+@pytest.mark.parametrize("n, k, m", [("6", "4", "2"), ("7", "5", "3"), ("9", "4", "1"),
+                                     ("5", "4", "inf")])
+def test_cli_construct_count_only_counts_the_printed_members(capsys, n, k, m):
+    """For every target, --count-only prints the number of member lines the
+    same command prints without it; for ekr that is also ekr_size."""
+    for target in ("ekr", "hm", "star", "removed-part", "shadow", "shadow-valuable"):
+        argv = ("construct", target, "--n", n, "--k", k, "--m", m)
+        code, out, _ = run_cli(capsys, *argv, "--count-only")
+        assert code == 0
+        code, listed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert int(out) == len(listed.splitlines()) - 1  # the header line
+        if target == "ekr":
+            assert int(out) == ekr_size(Params(int(n), int(k), parse_cap(m)))
 
 
 def test_cli_construct_roundtrip(capsys):

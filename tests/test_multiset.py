@@ -1,5 +1,7 @@
 """Multiset algebra: examples from the contract plus property checks."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +103,13 @@ def test_permutation_action_properties(data):
     # composition: applying tau then sigma equals applying sigma o tau
     comp = tuple(sigma[tau[i] - 1] for i in range(n))
     assert apply_permutation(sigma, apply_permutation(tau, a)) == apply_permutation(comp, a)
+
+
+@pytest.mark.parametrize("sentinel, name", [(UNBOUNDED, "UNBOUNDED"), (UNIVERSAL, "UNIVERSAL")])
+def test_sentinel_is_one_named_instance(sentinel, name):
+    assert pickle.loads(pickle.dumps(sentinel)) is sentinel
+    assert type(sentinel)() is sentinel
+    assert repr(sentinel) == name
 
 
 def test_total_intersection_conventions():

@@ -151,6 +151,18 @@ print(*sorted(set(sys.modules) - before))
     assert not HEAVY_MODULES & set(added)
 
 
+def test_import_cli_loads_no_heavy_module():
+    """Every command imports msfam.cli; only coeffs' CSV output needs csv."""
+    [added] = _fresh_modules("""
+import sys
+before = set(sys.modules)
+import msfam.cli
+print(*sorted(set(sys.modules) - before))
+""")
+    assert "msfam.cli" in added
+    assert not HEAVY_MODULES & set(added)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers > 1 are forked")
 def test_forked_pass_imports_no_module():
     [[families], added] = _fresh_modules("""
